@@ -78,6 +78,8 @@ pub struct ColorMap {
     per_layer: Vec<BinIndex>,
     features: Vec<Feature>,
     alive: Vec<bool>,
+    /// Live features per net id (grown on demand).
+    live_per_net: Vec<u32>,
 }
 
 impl ColorMap {
@@ -96,6 +98,7 @@ impl ColorMap {
             per_layer: (0..num_layers).map(|_| BinIndex::new(die, bin)).collect(),
             features: Vec::new(),
             alive: Vec::new(),
+            live_per_net: Vec::new(),
         }
     }
 
@@ -128,6 +131,12 @@ impl ColorMap {
         );
         let id = self.features.len();
         self.per_layer[feature.layer.index()].insert(id as u64, feature.rect);
+        if let Some(net) = feature.net {
+            if self.live_per_net.len() <= net.index() {
+                self.live_per_net.resize(net.index() + 1, 0);
+            }
+            self.live_per_net[net.index()] += 1;
+        }
         self.features.push(feature);
         self.alive.push(true);
         id
@@ -144,45 +153,52 @@ impl ColorMap {
                 removed += 1;
             }
         }
+        if let Some(live) = self.live_per_net.get_mut(net.index()) {
+            *live = 0;
+        }
         removed
     }
 
-    /// Live features of other nets within `dcolor` of `rect` on `layer`.
-    ///
-    /// Features belonging to `net` itself are excluded (a net never conflicts
-    /// with itself), as are features without an assigned mask.
-    pub fn colored_neighbors(
-        &self,
-        net: NetId,
-        layer: LayerId,
-        rect: &Rect,
-    ) -> impl Iterator<Item = &Feature> {
-        let window = rect.expanded(self.dcolor - 1);
-        let ids = self.per_layer[layer.index()].query(&window);
-        let dcolor = self.dcolor;
-        let rect = *rect;
-        ids.into_iter().filter_map(move |id| {
-            let id = id as usize;
-            if !self.alive[id] {
-                return None;
-            }
-            let f = &self.features[id];
-            if f.net == Some(net) || f.mask.is_none() {
-                return None;
-            }
-            (f.rect.spacing_to(&rect) < dcolor).then_some(f)
-        })
+    /// `true` when `net` has at least one live feature in the map.
+    #[inline]
+    pub fn has_live_features(&self, net: NetId) -> bool {
+        self.live_per_net.get(net.index()).is_some_and(|&n| n > 0)
+    }
+
+    /// The number of inserts and removes on `layer` so far (see
+    /// [`pressure_generation`](Self::pressure_generation)).
+    #[inline]
+    pub fn version(&self, layer: LayerId) -> u64 {
+        self.per_layer[layer.index()].version()
+    }
+
+    /// The newest [`version`](Self::version) of `layer` at which a feature
+    /// was inserted into or removed from any bin that
+    /// [`mask_pressure`](Self::mask_pressure)`(_, layer, rect)` reads.  A
+    /// pressure computed at version `v` for a net with no live features is
+    /// still exact for any such net while this stays `<= v`.
+    #[inline]
+    pub fn pressure_generation(&self, layer: LayerId, rect: &Rect) -> u64 {
+        self.per_layer[layer.index()].generation_in(&rect.expanded(self.dcolor - 1))
     }
 
     /// Per-mask pressure around a rectangle: `result[m]` is the number of
     /// live features of *other* nets printed on mask `m` within `dcolor`.
+    /// Features belonging to `net` itself are excluded (a net never conflicts
+    /// with itself), as are features without an assigned mask.  Visits each
+    /// stored rectangle near `rect` once, without allocating.
     pub fn mask_pressure(&self, net: NetId, layer: LayerId, rect: &Rect) -> [usize; 3] {
         let mut pressure = [0usize; 3];
-        for f in self.colored_neighbors(net, layer, rect) {
+        let window = rect.expanded(self.dcolor - 1);
+        self.per_layer[layer.index()].for_each_intersecting(&window, |id, r| {
+            let f = &self.features[id as usize];
             if let Some(mask) = f.mask {
-                pressure[mask.index()] += 1;
+                if self.alive[id as usize] && f.net != Some(net) && r.spacing_to(rect) < self.dcolor
+                {
+                    pressure[mask.index()] += 1;
+                }
             }
-        }
+        });
         pressure
     }
 

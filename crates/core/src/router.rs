@@ -1,11 +1,13 @@
 //! The full-design Mr.TPL router (Algorithm 1 + rip-up & reroute).
 
 use crate::{
-    assign::assign_and_emit, backtrace, search, ColorCostCache, ColoredNet, MrTplConfig,
-    MrTplStats, NetBuffers, SearchContext,
+    assign::assign_and_emit, backtrace, search, ColoredNet, MrTplConfig, MrTplStats, NetBuffers,
+    SearchContext,
 };
 use std::time::Instant;
-use tpl_color::{ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask};
+use tpl_color::{
+    ColorCostCache, ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask,
+};
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
 use tpl_grid::{GridGraph, GridState, Outcome, PinCoverage, RouteBudget, StopReason, VertexId};
 use tpl_par::{par_map_pooled, plan_batches, Region, ScratchPool};
@@ -363,7 +365,7 @@ impl MrTplRouter {
         let _net_span = tpl_trace::span!("core.route_net", net = net_id.index());
         tpl_fault::point!("core.route_net", net_id.index());
         let net = design.net(net_id);
-        let in_guide = SearchContext::guide_membership(grid, guides, net_id);
+        let in_guide = grid.guide_membership(guides, net_id);
         let ctx = SearchContext {
             grid,
             state: gstate,

@@ -23,10 +23,10 @@
 //! never resurrect a stale entry, and an improvement within one quantum
 //! reuses the already-queued entry instead of pushing a duplicate.
 
-use crate::{ColorCostCache, MrTplConfig, SearchPolicy};
+use crate::{MrTplConfig, SearchPolicy};
 use std::time::Instant;
-use tpl_color::{ColorMap, ColorState, Mask};
-use tpl_design::{Design, NetId, PinId, RouteGuides};
+use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask};
+use tpl_design::{Design, LayerId, NetId, PinId};
 use tpl_geom::Dir;
 use tpl_grid::{
     CancelToken, DenseBitSet, EpochStamps, Frontier, GridGraph, GridState, PinCoverage,
@@ -335,38 +335,18 @@ pub struct SearchContext<'a> {
 }
 
 impl<'a> SearchContext<'a> {
-    /// Per-net guide membership (nets without guide regions are free).
-    pub fn guide_membership(grid: &GridGraph, guides: &RouteGuides, net: NetId) -> DenseBitSet {
-        let regions = guides.regions(net);
-        if regions.is_empty() {
-            return DenseBitSet::full(grid.num_vertices());
-        }
-        let mut mask = DenseBitSet::new(grid.num_vertices());
-        for region in regions {
-            for v in grid.vertices_in_rect(region.layer, &region.rect) {
-                mask.insert(v.index());
-            }
-        }
-        mask
-    }
-
-    /// The traditional (colour-free) part of the cost of stepping from
-    /// `from` onto `to`, or `None` when `to` is blocked.
-    pub fn trad_cost(&self, from: VertexId, to: VertexId, dir: Dir) -> Option<f64> {
+    /// The traditional (colour-free) part of the cost of stepping in
+    /// direction `dir` from a vertex on `from_layer` onto `to`, or `None`
+    /// when `to` is blocked.  The caller decodes the popped vertex's layer
+    /// once for all of its neighbours.
+    #[inline]
+    pub fn trad_cost(&self, from_layer: LayerId, to: VertexId, dir: Dir) -> Option<f64> {
         if self.state.is_blocked(to) {
             return None;
         }
         let cost = &self.config.cost;
-        let mut c = if dir.is_via() {
-            cost.via
-        } else if self.grid.is_wrong_way(from, dir) {
-            cost.wrong_way_cost(self.grid.pitch())
-        } else {
-            cost.wire_cost(self.grid.pitch())
-        };
-        if dir.is_planar() && self.grid.layer_of(to).index() == 0 {
-            c *= cost.base_layer_mult;
-        }
+        let axis = self.grid.layer_axis(from_layer);
+        let mut c = cost.move_cost(dir, from_layer, axis, self.grid.pitch());
         if !self.in_guide.get(to.index()) {
             c += cost.out_of_guide * self.grid.pitch() as f64;
         }
@@ -560,8 +540,9 @@ pub fn search(
         }
         let d = buffers.dist(v);
         let from_state = buffers.state(v);
+        let layer = ctx.grid.layer_of(v);
         for (dir, n) in ctx.grid.neighbors(v) {
-            let Some(trad) = ctx.trad_cost(v, n, dir) else {
+            let Some(trad) = ctx.trad_cost(layer, n, dir) else {
                 continue;
             };
             let (step, new_state) = ctx.color_step(cache, from_state, n, dir, trad);
@@ -885,7 +866,7 @@ mod tests {
         cache.begin_net();
         let v = f.grid.vertex(0, 5, 5);
         let n = f.grid.vertex(0, 6, 5);
-        let trad = c.trad_cost(v, n, Dir::East).unwrap();
+        let trad = c.trad_cost(f.grid.layer_of(v), n, Dir::East).unwrap();
         // From a green-only state, staying green is cheapest and red/blue pay
         // the stitch cost on top.
         let (cost_green_state, set) = c.color_step(
@@ -902,7 +883,7 @@ mod tests {
         assert!((cost_green_state - cost_full_state).abs() < 1e-9);
         // Via steps never pay a stitch cost.
         let above = f.grid.vertex(1, 5, 5);
-        let via_trad = c.trad_cost(v, above, Dir::Up).unwrap();
+        let via_trad = c.trad_cost(f.grid.layer_of(v), above, Dir::Up).unwrap();
         let (_, via_set) = c.color_step(
             &mut cache,
             ColorState::from_mask(tpl_color::Mask::Green),
@@ -944,7 +925,7 @@ mod tests {
             done[u] = true;
             let v = VertexId::new(u as u32);
             for (dir, w) in c.grid.neighbors(v) {
-                if let Some(trad) = c.trad_cost(v, w, dir) {
+                if let Some(trad) = c.trad_cost(c.grid.layer_of(v), w, dir) {
                     let nd = dist[u] + c.config.alpha * trad;
                     if nd < dist[w.index()] {
                         dist[w.index()] = nd;

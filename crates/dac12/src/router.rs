@@ -2,14 +2,14 @@
 
 use crate::ExpandedGraph;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::Instant;
-use tpl_color::{ColorMap, ColorSetArena, ColoredLayout, Feature, Mask};
+use tpl_color::{ColorCostCache, ColorMap, ColoredLayout, Feature, Mask};
 use tpl_design::{
     Design, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution, ViaInstance,
 };
-use tpl_geom::Segment;
-use tpl_grid::{CostParams, GridGraph, GridState, PinCoverage, VertexId};
+use tpl_geom::{Dir, Segment};
+use tpl_grid::{CostParams, DenseBitSet, EpochStamps, GridGraph, GridState, PinCoverage, VertexId};
 
 /// Configuration of the DAC'12 baseline router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -24,10 +24,6 @@ pub struct Dac12Config {
     pub max_rrr_iterations: usize,
     /// History cost added to vertices in conflict regions when ripping up.
     pub history_increment: f64,
-    /// Use the full 3-mask × 4-direction vertex splitting of the original
-    /// method.  Disabling it collapses the direction dimension (3× expansion
-    /// only), which is faster but less faithful; the ablation benches use it.
-    pub direction_split: bool,
 }
 
 impl Default for Dac12Config {
@@ -38,7 +34,6 @@ impl Default for Dac12Config {
             color_conflict_cost: 350.0,
             max_rrr_iterations: 5,
             history_increment: 60.0,
-            direction_split: true,
         }
     }
 }
@@ -56,6 +51,12 @@ pub struct Dac12Stats {
     pub failed_nets: usize,
     /// Number of 2-pin connections routed (MST edges over all nets).
     pub two_pin_connections: usize,
+    /// Expanded (non-stale) frontier pops over all 2-pin searches.
+    pub search_nodes: usize,
+    /// Frontier pops discarded because their node had improved since.
+    pub stale_pops: usize,
+    /// Expanded pops whose planar moves dominance pruning skipped.
+    pub pruned_planar: usize,
     /// Wall-clock routing time in seconds.
     pub runtime_seconds: f64,
 }
@@ -79,66 +80,54 @@ pub struct Dac12Router {
     config: Dac12Config,
 }
 
-/// Per-vertex colour-pressure cache, valid while one net is being routed
-/// (the colour map only changes between nets for foreign features).
-struct PressureCache {
-    epoch: u32,
-    stamp: Vec<u32>,
-    pressure: Vec<[u16; 3]>,
-}
+const SLOTS: usize = ExpandedGraph::SLOTS;
+const MASKS: usize = Mask::ALL.len();
 
-impl PressureCache {
-    fn new(num_vertices: usize) -> Self {
-        Self {
-            epoch: 0,
-            stamp: vec![0; num_vertices],
-            pressure: vec![[0; 3]; num_vertices],
-        }
-    }
-
-    fn begin_net(&mut self) {
-        self.epoch += 1;
-    }
-
-    fn pressure(&mut self, grid: &GridGraph, map: &ColorMap, net: NetId, v: VertexId) -> [u16; 3] {
-        let i = v.index();
-        if self.stamp[i] == self.epoch {
-            return self.pressure[i];
-        }
-        let rect = tpl_geom::Rect::from_point(grid.point_of(v)).expanded(4);
-        let raw = map.mask_pressure(net, grid.layer_of(v), &rect);
-        let p = [raw[0] as u16, raw[1] as u16, raw[2] as u16];
-        self.stamp[i] = self.epoch;
-        self.pressure[i] = p;
-        p
-    }
-}
-
-/// Search buffers over the expanded node space, epoch-invalidated.
+/// Search buffers over the expanded node space.
+///
+/// One epoch stamp guards a whole grid vertex: its [`SLOTS`] node distances
+/// and predecessors and its per-mask dominance distances are reset together
+/// the first time a search reaches the vertex.
 struct NodeBuffers {
-    epoch: u32,
-    stamp: Vec<u32>,
+    stamps: EpochStamps,
     dist: Vec<f64>,
-    prev: Vec<u32>,
+    /// The move that reached each node, packed by [`pack_move`]
+    /// ([`NO_MOVE`] at a source): a byte instead of a node id.
+    came_by: Vec<u8>,
+    /// Per `(vertex, mask)`: the least distance at which any direction
+    /// class of it had its planar moves relaxed in this search.
+    planar_done: Vec<f64>,
+    /// Goal vertices of the current search.
+    target: EpochStamps,
+    /// Frontier entries `(key << 64) | node`: the `u128` order is exactly
+    /// the `(key, node)` order, decided by one comparison.
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl NodeBuffers {
-    fn new(num_nodes: usize) -> Self {
+    fn new(num_vertices: usize) -> Self {
+        // Slots are reset when a search first reaches their vertex, so the
+        // payload starts zeroed and only pages of reached vertices get
+        // resident.
         Self {
-            epoch: 0,
-            stamp: vec![0; num_nodes],
-            dist: vec![f64::INFINITY; num_nodes],
-            prev: vec![u32::MAX; num_nodes],
+            stamps: EpochStamps::new(num_vertices),
+            dist: vec![0.0; num_vertices * SLOTS],
+            came_by: vec![0; num_vertices * SLOTS],
+            planar_done: vec![0.0; num_vertices * MASKS],
+            target: EpochStamps::new(num_vertices),
+            heap: BinaryHeap::new(),
         }
     }
 
     fn begin(&mut self) {
-        self.epoch += 1;
+        self.stamps.begin();
+        self.target.begin();
+        self.heap.clear();
     }
 
     #[inline]
     fn dist(&self, n: usize) -> f64 {
-        if self.stamp[n] == self.epoch {
+        if self.stamps.is_fresh(n / SLOTS) {
             self.dist[n]
         } else {
             f64::INFINITY
@@ -146,20 +135,55 @@ impl NodeBuffers {
     }
 
     #[inline]
-    fn relax(&mut self, n: usize, d: f64, prev: Option<usize>) {
-        self.stamp[n] = self.epoch;
+    fn relax(&mut self, n: usize, d: f64, came_by: u8) {
+        let v = n / SLOTS;
+        if !self.stamps.is_fresh(v) {
+            self.stamps.touch(v);
+            self.dist[v * SLOTS..(v + 1) * SLOTS].fill(f64::INFINITY);
+            self.came_by[v * SLOTS..(v + 1) * SLOTS].fill(NO_MOVE);
+            self.planar_done[v * MASKS..(v + 1) * MASKS].fill(f64::INFINITY);
+        }
         self.dist[n] = d;
-        self.prev[n] = prev.map(|p| p as u32).unwrap_or(u32::MAX);
+        self.came_by[n] = came_by;
     }
 
-    #[inline]
-    fn prev(&self, n: usize) -> Option<usize> {
-        if self.stamp[n] == self.epoch && self.prev[n] != u32::MAX {
-            Some(self.prev[n] as usize)
-        } else {
-            None
+    /// The predecessor of node `n`: reverse the move that reached it.
+    fn prev(&self, grid: &GridGraph, expanded: &ExpandedGraph, n: usize) -> Option<usize> {
+        let code = self.came_by[n];
+        if !self.stamps.is_fresh(n / SLOTS) || code == NO_MOVE {
+            return None;
         }
+        let (v, _, _) = expanded.unpack(n);
+        let dir = Dir::ALL[usize::from(code >> 4)];
+        let from = grid
+            .neighbor(v, dir.opposite())
+            .expect("a relaxed node's predecessor is on the grid");
+        let (mask, class) = (usize::from(code >> 2 & 3), usize::from(code & 3));
+        Some(expanded.node(from, Mask::from_index(mask), class))
     }
+}
+
+/// [`NodeBuffers::came_by`] of a source node.
+const NO_MOVE: u8 = u8::MAX;
+
+/// Packs a move in direction `dir` out of the node with `mask` and
+/// direction class `class`.
+#[inline]
+fn pack_move(dir: Dir, mask: Mask, class: usize) -> u8 {
+    (dir as u8) << 4 | (mask.index() as u8) << 2 | class as u8
+}
+
+/// Mutable state shared by every net of one run.
+struct RunState {
+    expanded: ExpandedGraph,
+    gstate: GridState,
+    map: ColorMap,
+    buffers: NodeBuffers,
+    pressure: ColorCostCache,
+    solution: RoutingSolution,
+    segment_masks: Vec<Vec<Option<Mask>>>,
+    net_vertices: Vec<Vec<VertexId>>,
+    stats: Dac12Stats,
 }
 
 impl Dac12Router {
@@ -170,22 +194,25 @@ impl Dac12Router {
 
     /// Routes and colours every net of the design inside the given guides.
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> Dac12Result {
+        let _route_span = tpl_trace::span!("dac12.route", nets = design.nets().len());
         let start = Instant::now();
         let grid = GridGraph::build(design);
-        let expanded = ExpandedGraph::new(&grid);
         let coverage = PinCoverage::build(&grid, design);
-        let mut gstate = GridState::new(&grid, design);
-        let mut map = ColorMap::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
-        let mut buffers = NodeBuffers::new(expanded.num_nodes());
-        let mut pressure_cache = PressureCache::new(grid.num_vertices());
-        let mut solution = RoutingSolution::new(design.nets().len());
-        let mut segment_masks: Vec<Vec<Option<Mask>>> = vec![Vec::new(); design.nets().len()];
-        let mut net_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); design.nets().len()];
-        let mut stats = Dac12Stats::default();
+        let mut run = RunState {
+            expanded: ExpandedGraph::new(&grid),
+            gstate: GridState::new(&grid, design),
+            map: ColorMap::new(
+                design.die(),
+                design.tech().num_layers(),
+                design.tech().dcolor(),
+            ),
+            buffers: NodeBuffers::new(grid.num_vertices()),
+            pressure: ColorCostCache::new(&grid),
+            solution: RoutingSolution::new(design.nets().len()),
+            segment_masks: vec![Vec::new(); design.nets().len()],
+            net_vertices: vec![Vec::new(); design.nets().len()],
+            stats: Dac12Stats::default(),
+        };
 
         let mut order: Vec<NetId> = design.nets().iter().map(|n| n.id()).collect();
         order.sort_by_key(|id| {
@@ -200,43 +227,30 @@ impl Dac12Router {
 
         let mut to_route: Vec<NetId> = order.clone();
         for iteration in 0..=self.config.max_rrr_iterations {
-            stats.rrr_iterations = iteration;
-            stats.failed_nets = 0;
+            let _iter_span = tpl_trace::span!("dac12.rrr_iteration", iteration = iteration);
+            run.stats.rrr_iterations = iteration;
+            run.stats.failed_nets = 0;
             for &net_id in &to_route {
-                gstate.release_net(net_id);
-                map.remove_net(net_id);
-                solution.rip_up(net_id);
-                segment_masks[net_id.index()].clear();
-                net_vertices[net_id.index()].clear();
+                let vertices = std::mem::take(&mut run.net_vertices[net_id.index()]);
+                run.gstate.release_vertices(&vertices, net_id);
+                run.map.remove_net(net_id);
+                run.solution.rip_up(net_id);
+                run.segment_masks[net_id.index()].clear();
 
-                let complete = self.route_net(
-                    design,
-                    &grid,
-                    &expanded,
-                    &coverage,
-                    &mut gstate,
-                    &mut map,
-                    &mut buffers,
-                    &mut pressure_cache,
-                    guides,
-                    net_id,
-                    &mut solution,
-                    &mut segment_masks,
-                    &mut net_vertices,
-                    &mut stats,
-                );
-                if !complete {
-                    stats.failed_nets += 1;
+                if !self.route_net(design, &grid, &coverage, &mut run, guides, net_id) {
+                    run.stats.failed_nets += 1;
                 }
             }
 
-            let layout = self.build_layout(design, &map);
+            let detect_span = tpl_trace::span!("dac12.conflict_detect");
+            let layout = self.build_layout(design, &run.map);
             let conflicts = layout.conflicts();
+            drop(detect_span);
             if conflicts.is_empty() || iteration == self.config.max_rrr_iterations {
                 break;
             }
             let features = layout.features();
-            let mut victims: HashSet<NetId> = HashSet::new();
+            let mut victims: Vec<NetId> = Vec::new();
             for c in &conflicts {
                 let fa = &features[c.a];
                 let fb = &features[c.b];
@@ -256,30 +270,31 @@ impl Dac12Router {
                         }
                     }
                 };
-                victims.insert(victim);
+                victims.push(victim);
                 for rect in [fa.rect, fb.rect] {
                     for v in grid.vertices_in_rect(c.layer, &rect) {
-                        gstate.add_history(v, self.config.history_increment);
+                        run.gstate.add_history(v, self.config.history_increment);
                     }
                 }
             }
-            let mut next: Vec<NetId> = victims.into_iter().collect();
-            next.sort_unstable_by_key(|id| id.index());
-            if next.is_empty() {
+            victims.sort_unstable_by_key(|id| id.index());
+            victims.dedup();
+            if victims.is_empty() {
                 break;
             }
-            to_route = next;
+            to_route = victims;
         }
 
-        let layout = self.build_layout(design, &map);
+        let layout = self.build_layout(design, &run.map);
         let layout_stats = layout.stats();
+        let mut stats = run.stats;
         stats.conflicts = layout_stats.conflicts;
         stats.stitches = layout_stats.stitches;
         stats.runtime_seconds = start.elapsed().as_secs_f64();
 
         Dac12Result {
-            solution,
-            segment_masks,
+            solution: run.solution,
+            segment_masks: run.segment_masks,
             layout,
             stats,
         }
@@ -298,27 +313,24 @@ impl Dac12Router {
     }
 
     /// Routes one net as independent 2-pin connections along its MST.
-    #[allow(clippy::too_many_arguments)]
     fn route_net(
         &self,
         design: &Design,
         grid: &GridGraph,
-        expanded: &ExpandedGraph,
         coverage: &PinCoverage,
-        gstate: &mut GridState,
-        map: &mut ColorMap,
-        buffers: &mut NodeBuffers,
-        pressure_cache: &mut PressureCache,
+        run: &mut RunState,
         guides: &RouteGuides,
         net_id: NetId,
-        solution: &mut RoutingSolution,
-        segment_masks: &mut [Vec<Option<Mask>>],
-        net_vertices: &mut [Vec<VertexId>],
-        stats: &mut Dac12Stats,
     ) -> bool {
+        let _net_span = tpl_trace::span!("dac12.route_net", net = net_id.index());
         let net = design.net(net_id);
-        let in_guide = guide_membership(grid, guides, net_id);
-        pressure_cache.begin_net();
+        let in_guide = grid.guide_membership(guides, net_id);
+        run.pressure.begin_net();
+        let before = (
+            run.stats.search_nodes,
+            run.stats.stale_pops,
+            run.stats.pruned_planar,
+        );
 
         // MST over the pins (Prim, Manhattan distance of pin centres).
         let centers: Vec<(PinId, tpl_geom::Point)> = net
@@ -327,7 +339,7 @@ impl Dac12Router {
             .filter_map(|p| design.pin(*p).bbox().map(|b| (*p, b.center())))
             .collect();
         let mst = pin_mst(&centers);
-        stats.two_pin_connections += mst.len();
+        run.stats.two_pin_connections += mst.len();
 
         let mut routed = RoutedNet::new();
         let mut masks: Vec<Option<Mask>> = Vec::new();
@@ -337,20 +349,7 @@ impl Dac12Router {
         for (a, b) in mst {
             let (pin_a, _) = centers[a];
             let (pin_b, _) = centers[b];
-            match self.route_two_pin(
-                design,
-                grid,
-                expanded,
-                coverage,
-                gstate,
-                map,
-                buffers,
-                pressure_cache,
-                &in_guide,
-                net_id,
-                pin_a,
-                pin_b,
-            ) {
+            match self.route_two_pin(design, grid, coverage, run, &in_guide, net_id, pin_a, pin_b) {
                 Some(path) => {
                     // Commit this connection immediately: later connections of
                     // the same net do not get to revise its colours (the
@@ -358,7 +357,7 @@ impl Dac12Router {
                     emit_colored_path(grid, &path, &mut routed, &mut masks);
                     for &(v, _) in &path {
                         vertices.push(v);
-                        gstate.occupy(v, net_id);
+                        run.gstate.occupy(v, net_id);
                     }
                 }
                 None => {
@@ -366,18 +365,20 @@ impl Dac12Router {
                 }
             }
         }
+        tpl_trace::counter!("dac12.search_nodes", run.stats.search_nodes - before.0);
+        tpl_trace::counter!("dac12.stale_pops", run.stats.stale_pops - before.1);
+        tpl_trace::counter!("dac12.pruned_planar", run.stats.pruned_planar - before.2);
 
         // Pin colours: inherit the mask of the touching wire; if that mask
         // already collides with a coloured neighbour of another net, pick the
         // least conflicting candidate (same post-processing as Mr.TPL so the
         // comparison isolates the routing strategy).
-        let mut arena = ColorSetArena::new();
-        let _ = &mut arena; // the baseline does not use verSets; kept for parity
+        let map = &mut run.map;
         for (seg, mask) in routed.segments.iter().zip(masks.iter()) {
             map.insert(Feature::wire(net_id, seg.layer, seg.rect(), *mask));
         }
         for &pin in net.pins() {
-            let preferred = pin_wire_mask(design, grid, coverage, pin, &routed, &masks);
+            let preferred = pin_wire_mask(design, pin, &routed, &masks);
             let mask = match preferred {
                 None => None,
                 Some(m) => {
@@ -404,34 +405,50 @@ impl Dac12Router {
             }
         }
 
-        segment_masks[net_id.index()] = masks;
-        net_vertices[net_id.index()] = vertices;
-        solution.set(net_id, routed);
+        run.segment_masks[net_id.index()] = masks;
+        run.net_vertices[net_id.index()] = vertices;
+        run.solution.set(net_id, routed);
         complete
     }
 
     /// Dijkstra over the expanded (vertex, mask, direction) graph from one
     /// pin to another.  Returns the path as `(vertex, mask)` pairs from
     /// source to destination.
+    ///
+    /// **Dominance pruning.**  A planar move's successor node and step cost
+    /// depend on the vertex, the mask and the direction moved, never on the
+    /// direction class the node was entered with.  So once some class of a
+    /// `(vertex, mask)` pair has relaxed its planar moves at distance `d'`,
+    /// a sibling popped later at `d >= d'` would only offer distances
+    /// `d + step >= d' + step` to nodes that already hold at most
+    /// `d' + step`; under the strict `<` relax every one of those
+    /// relaxations is a no-op, and the search skips them.  Via moves keep
+    /// the incoming class and are always relaxed, and the goal test runs
+    /// first, so the result is identical to the unpruned search.
     #[allow(clippy::too_many_arguments)]
     fn route_two_pin(
         &self,
         design: &Design,
         grid: &GridGraph,
-        expanded: &ExpandedGraph,
         coverage: &PinCoverage,
-        gstate: &GridState,
-        map: &ColorMap,
-        buffers: &mut NodeBuffers,
-        pressure_cache: &mut PressureCache,
-        in_guide: &[bool],
+        run: &mut RunState,
+        in_guide: &DenseBitSet,
         net_id: NetId,
         from: PinId,
         to: PinId,
     ) -> Option<Vec<(VertexId, Mask)>> {
+        let RunState {
+            expanded,
+            gstate,
+            map,
+            buffers,
+            pressure: pressure_cache,
+            stats,
+            ..
+        } = run;
         buffers.begin();
         let key = |c: f64| (c * 256.0) as u64;
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut heap = std::mem::take(&mut buffers.heap);
 
         for &v in coverage.vertices(from) {
             if gstate.is_blocked(v) {
@@ -439,41 +456,52 @@ impl Dac12Router {
             }
             for mask in Mask::ALL {
                 let n = expanded.node(v, mask, 0);
-                buffers.relax(n, 0.0, None);
-                heap.push(Reverse((0, n)));
+                buffers.relax(n, 0.0, NO_MOVE);
+                heap.push(Reverse(n as u128));
             }
         }
-        let target_vertices: HashSet<VertexId> = coverage.vertices(to).iter().copied().collect();
+        for &v in coverage.vertices(to) {
+            buffers.target.touch(v.index());
+        }
 
         let cost = &self.config.cost;
+        let out_of_guide = cost.out_of_guide * grid.pitch() as f64;
 
         let mut goal: Option<usize> = None;
-        while let Some(Reverse((k, node))) = heap.pop() {
+        while let Some(Reverse(entry)) = heap.pop() {
+            let (k, node) = ((entry >> 64) as u64, entry as u64 as usize);
             let d = buffers.dist(node);
             if key(d) < k {
+                stats.stale_pops += 1;
                 continue;
             }
+            stats.search_nodes += 1;
             let (v, mask, dir_class) = expanded.unpack(node);
-            if target_vertices.contains(&v) {
+            if buffers.target.is_fresh(v.index()) {
                 goal = Some(node);
                 break;
             }
+            let done = &mut buffers.planar_done[v.index() * MASKS + mask.index()];
+            let planar = d < *done;
+            if planar {
+                *done = d;
+            } else {
+                stats.pruned_planar += 1;
+            }
+            let layer = grid.layer_of(v);
+            let axis = grid.layer_axis(layer);
             for (dir, n) in grid.neighbors(v) {
+                let next_class = match dir.axis() {
+                    Some(_) if !planar => continue,
+                    Some(_) => ExpandedGraph::dir_class(dir),
+                    None => dir_class,
+                };
                 if gstate.is_blocked(n) {
                     continue;
                 }
-                let mut trad = if dir.is_via() {
-                    cost.via
-                } else if grid.is_wrong_way(v, dir) {
-                    cost.wrong_way_cost(grid.pitch())
-                } else {
-                    cost.wire_cost(grid.pitch())
-                };
-                if dir.is_planar() && grid.layer_of(n).index() == 0 {
-                    trad *= cost.base_layer_mult;
-                }
-                if !in_guide[n.index()] {
-                    trad += cost.out_of_guide * grid.pitch() as f64;
+                let mut trad = cost.move_cost(dir, layer, axis, grid.pitch());
+                if !in_guide.get(n.index()) {
+                    trad += out_of_guide;
                 }
                 if gstate.is_occupied_by_other(n, net_id) {
                     trad += cost.occupied;
@@ -485,13 +513,6 @@ impl Dac12Router {
                 }
                 trad += cost.history_weight * gstate.history(n);
 
-                let next_class = if self.config.direction_split && dir.is_planar() {
-                    ExpandedGraph::dir_class(dir)
-                } else if self.config.direction_split {
-                    dir_class
-                } else {
-                    0
-                };
                 let pressure = pressure_cache.pressure(grid, map, net_id, n);
                 for next_mask in Mask::ALL {
                     let mut step =
@@ -502,12 +523,13 @@ impl Dac12Router {
                     let nn = expanded.node(n, next_mask, next_class);
                     let nd = d + step;
                     if nd < buffers.dist(nn) {
-                        buffers.relax(nn, nd, Some(node));
-                        heap.push(Reverse((key(nd), nn)));
+                        buffers.relax(nn, nd, pack_move(dir, mask, dir_class));
+                        heap.push(Reverse((key(nd) as u128) << 64 | nn as u128));
                     }
                 }
             }
         }
+        buffers.heap = heap;
 
         let goal = goal?;
         let mut path = Vec::new();
@@ -515,7 +537,7 @@ impl Dac12Router {
         loop {
             let (v, mask, _) = expanded.unpack(cur);
             path.push((v, mask));
-            match buffers.prev(cur) {
+            match buffers.prev(grid, expanded, cur) {
                 Some(p) => cur = p,
                 None => break,
             }
@@ -523,21 +545,6 @@ impl Dac12Router {
         path.reverse();
         Some(path)
     }
-}
-
-/// Per-net guide membership (identical rule to the other routers).
-fn guide_membership(grid: &GridGraph, guides: &RouteGuides, net: NetId) -> Vec<bool> {
-    let regions = guides.regions(net);
-    if regions.is_empty() {
-        return vec![true; grid.num_vertices()];
-    }
-    let mut mask = vec![false; grid.num_vertices()];
-    for region in regions {
-        for v in grid.vertices_in_rect(region.layer, &region.rect) {
-            mask[v.index()] = true;
-        }
-    }
-    mask
 }
 
 /// Prim MST over pin centres; returns index pairs into the input slice.
@@ -647,13 +654,10 @@ fn emit_colored_path(
 /// The mask of the wire touching a pin, if any (nearest segment wins).
 fn pin_wire_mask(
     design: &Design,
-    grid: &GridGraph,
-    coverage: &PinCoverage,
     pin: PinId,
     routed: &RoutedNet,
     masks: &[Option<Mask>],
 ) -> Option<Mask> {
-    let _ = (grid, coverage);
     let bbox = design.pin(pin).bbox()?;
     routed
         .segments
@@ -718,14 +722,15 @@ mod tests {
     }
 
     #[test]
-    fn disabling_direction_split_gives_a_valid_solution_too() {
+    fn search_effort_is_counted() {
         let (design, guides) = small_case(0.3);
-        let config = Dac12Config {
-            direction_split: false,
-            ..Dac12Config::default()
-        };
-        let result = Dac12Router::new(config).route(&design, &guides);
-        assert_eq!(result.solution.routed_count(), design.nets().len());
+        let s = Dac12Router::new(Dac12Config::default())
+            .route(&design, &guides)
+            .stats;
+        assert!(s.search_nodes > 0 && s.stale_pops > 0);
+        // Every direction class of a (vertex, mask) after the first is
+        // pruned, so pruning is common but never exceeds the expansions.
+        assert!(s.pruned_planar > 0 && s.pruned_planar < s.search_nodes);
     }
 
     #[test]

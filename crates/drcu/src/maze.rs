@@ -2,8 +2,8 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tpl_design::{Design, NetId, PinId, RouteGuides};
-use tpl_grid::{CostParams, GridGraph, GridState, PinCoverage, VertexId};
+use tpl_design::{Design, LayerId, NetId, PinId};
+use tpl_grid::{CostParams, DenseBitSet, GridGraph, GridState, PinCoverage, VertexId};
 
 /// Reusable per-search buffers with epoch-based invalidation, so routing one
 /// net does not reallocate O(V) memory for every pin connection.
@@ -82,43 +82,23 @@ pub struct MazeContext<'a> {
     /// The net being routed.
     pub net: NetId,
     /// Whether each vertex lies inside the net's route guide.
-    pub in_guide: &'a [bool],
+    pub in_guide: &'a DenseBitSet,
 }
 
 impl<'a> MazeContext<'a> {
-    /// Computes the per-net guide membership vector.
-    pub fn guide_membership(grid: &GridGraph, guides: &RouteGuides, net: NetId) -> Vec<bool> {
-        let regions = guides.regions(net);
-        if regions.is_empty() {
-            return vec![true; grid.num_vertices()];
-        }
-        let mut mask = vec![false; grid.num_vertices()];
-        for region in regions {
-            for v in grid.vertices_in_rect(region.layer, &region.rect) {
-                mask[v.index()] = true;
-            }
-        }
-        mask
-    }
-
-    /// The traditional (colour-free) cost of stepping from `from` onto `to`
-    /// via direction `dir`, or `None` if the step is forbidden (blocked
-    /// vertex).
-    pub fn step_cost(&self, from: VertexId, to: VertexId, dir: tpl_geom::Dir) -> Option<f64> {
+    /// The traditional (colour-free) cost of stepping in direction `dir`
+    /// from a vertex on `from_layer` onto `to`, or `None` if the step is
+    /// forbidden (blocked vertex).
+    #[inline]
+    pub fn step_cost(&self, from_layer: LayerId, to: VertexId, dir: tpl_geom::Dir) -> Option<f64> {
         if self.state.is_blocked(to) {
             return None;
         }
-        let mut cost = if dir.is_via() {
-            self.cost.via
-        } else if self.grid.is_wrong_way(from, dir) {
-            self.cost.wrong_way_cost(self.grid.pitch())
-        } else {
-            self.cost.wire_cost(self.grid.pitch())
-        };
-        if dir.is_planar() && self.grid.layer_of(to).index() == 0 {
-            cost *= self.cost.base_layer_mult;
-        }
-        if !self.in_guide[to.index()] {
+        let axis = self.grid.layer_axis(from_layer);
+        let mut cost = self
+            .cost
+            .move_cost(dir, from_layer, axis, self.grid.pitch());
+        if !self.in_guide.get(to.index()) {
             cost += self.cost.out_of_guide * self.grid.pitch() as f64;
         }
         if self.state.is_occupied_by_other(to, self.net) {
@@ -171,8 +151,9 @@ impl<'a> MazeContext<'a> {
             if let Some(pin) = is_target(v) {
                 return Some((v, pin));
             }
+            let layer = self.grid.layer_of(v);
             for (dir, n) in self.grid.neighbors(v) {
-                if let Some(step) = self.step_cost(v, n, dir) {
+                if let Some(step) = self.step_cost(layer, n, dir) {
                     let nd = d + step;
                     if nd < buffers.dist(n) {
                         buffers.relax(n, nd, Some(v));
@@ -226,7 +207,7 @@ mod tests {
     fn search_connects_two_pins_around_obstacles() {
         let (d, g, s, c) = setup();
         let guides = RouteGuides::new(1);
-        let in_guide = MazeContext::guide_membership(&g, &guides, NetId::new(0));
+        let in_guide = g.guide_membership(&guides, NetId::new(0));
         let cost = CostParams::default();
         let ctx = MazeContext {
             grid: &g,
@@ -261,7 +242,7 @@ mod tests {
     fn searching_with_no_unreached_pins_returns_none() {
         let (d, g, s, c) = setup();
         let guides = RouteGuides::new(1);
-        let in_guide = MazeContext::guide_membership(&g, &guides, NetId::new(0));
+        let in_guide = g.guide_membership(&guides, NetId::new(0));
         let cost = CostParams::default();
         let ctx = MazeContext {
             grid: &g,
@@ -292,7 +273,7 @@ mod tests {
             }
         }
         let guides = RouteGuides::new(1);
-        let in_guide = MazeContext::guide_membership(&g, &guides, NetId::new(0));
+        let in_guide = g.guide_membership(&guides, NetId::new(0));
         let cost = CostParams::default();
         let ctx = MazeContext {
             grid: &g,
@@ -314,13 +295,5 @@ mod tests {
         assert!(path
             .iter()
             .all(|v| !s.is_occupied_by_other(*v, NetId::new(0))));
-    }
-
-    #[test]
-    fn guide_membership_defaults_to_everywhere_without_regions() {
-        let (_d, g, _, _) = setup();
-        let guides = RouteGuides::new(1);
-        let mask = MazeContext::guide_membership(&g, &guides, NetId::new(0));
-        assert!(mask.iter().all(|&b| b));
     }
 }

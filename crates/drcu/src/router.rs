@@ -157,7 +157,7 @@ impl DrCuRouter {
         net_id: NetId,
     ) -> (RoutedNet, Vec<VertexId>, bool) {
         let net = design.net(net_id);
-        let in_guide = MazeContext::guide_membership(grid, guides, net_id);
+        let in_guide = grid.guide_membership(guides, net_id);
         let ctx = MazeContext {
             grid,
             state,

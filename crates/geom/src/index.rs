@@ -11,6 +11,11 @@ use crate::{Dbu, Rect};
 /// behind colour-conflict detection and colour-cost lookups, where the
 /// query window is the `Dcolor` halo around a wire.
 ///
+/// Every bin carries a *generation*: the index [`version`](Self::version)
+/// at which an insert or remove last touched it.  A value derived from a
+/// query stays valid for as long as [`generation_in`](Self::generation_in)
+/// of its window does not exceed the version it was computed at.
+///
 /// # Examples
 ///
 /// ```
@@ -27,6 +32,9 @@ pub struct BinIndex {
     nx: usize,
     ny: usize,
     bins: Vec<Vec<(u64, Rect)>>,
+    /// Per bin: the `version` of the last insert or remove that touched it.
+    generations: Vec<u64>,
+    version: u64,
     len: usize,
 }
 
@@ -47,6 +55,8 @@ impl BinIndex {
             nx,
             ny,
             bins: vec![Vec::new(); nx * ny],
+            generations: vec![0; nx * ny],
+            version: 0,
             len: 0,
         }
     }
@@ -69,6 +79,26 @@ impl BinIndex {
         self.region
     }
 
+    /// The number of inserts and removes so far; every bin they touched
+    /// now has this generation or an earlier one.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The newest generation among the bins a query with `window` reads
+    /// (0 when none of them was ever touched).
+    #[inline]
+    pub fn generation_in(&self, window: &Rect) -> u64 {
+        let (bx0, by0, bx1, by1) = self.clamp_bin_range(window);
+        let mut newest = 0;
+        for by in by0..=by1 {
+            let row = &self.generations[by * self.nx + bx0..=by * self.nx + bx1];
+            newest = row.iter().fold(newest, |a, &g| a.max(g));
+        }
+        newest
+    }
+
     fn clamp_bin_range(&self, r: &Rect) -> (usize, usize, usize, usize) {
         let bx0 = ((r.lo.x - self.region.lo.x) / self.bin).max(0) as usize;
         let by0 = ((r.lo.y - self.region.lo.y) / self.bin).max(0) as usize;
@@ -86,9 +116,11 @@ impl BinIndex {
     /// region are clamped to the boundary bins, so nothing is ever lost.
     pub fn insert(&mut self, id: u64, rect: Rect) {
         let (bx0, by0, bx1, by1) = self.clamp_bin_range(&rect);
+        self.version += 1;
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
                 self.bins[by * self.nx + bx].push((id, rect));
+                self.generations[by * self.nx + bx] = self.version;
             }
         }
         self.len += 1;
@@ -99,6 +131,7 @@ impl BinIndex {
     pub fn remove(&mut self, id: u64, rect: Rect) -> bool {
         let (bx0, by0, bx1, by1) = self.clamp_bin_range(&rect);
         let mut removed = false;
+        self.version += 1;
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
                 let bin = &mut self.bins[by * self.nx + bx];
@@ -106,6 +139,7 @@ impl BinIndex {
                 bin.retain(|(i, r)| !(*i == id && *r == rect));
                 if bin.len() != before {
                     removed = true;
+                    self.generations[by * self.nx + bx] = self.version;
                 }
             }
         }
@@ -145,6 +179,32 @@ impl BinIndex {
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// Calls `f(id, rect)` once for every stored rectangle that intersects
+    /// the window, in bin order, without allocating.
+    ///
+    /// A rectangle sits in every bin of its bin range; it is reported only
+    /// from the first bin that range shares with the window's, so for
+    /// distinct `(id, rect)` pairs the calls are exactly the entries of
+    /// [`query_entries`](Self::query_entries), in another order.
+    pub fn for_each_intersecting(&self, window: &Rect, mut f: impl FnMut(u64, &Rect)) {
+        let (bx0, by0, bx1, by1) = self.clamp_bin_range(window);
+        for by in by0..=by1 {
+            // A rectangle found in bin `b` starts in `b` exactly when
+            // `b` is the first bin or its low edge is at or past `b`'s.
+            let y_start = self.region.lo.y + by as Dbu * self.bin;
+            for bx in bx0..=bx1 {
+                let x_start = self.region.lo.x + bx as Dbu * self.bin;
+                for (id, r) in &self.bins[by * self.nx + bx] {
+                    let first_x = bx == bx0 || r.lo.x >= x_start;
+                    let first_y = by == by0 || r.lo.y >= y_start;
+                    if first_x && first_y && r.intersects(window) {
+                        f(*id, r);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -207,6 +267,40 @@ mod tests {
         idx.insert(2, r2);
         let entries = idx.query_entries(&Rect::from_coords(0, 0, 120, 120));
         assert_eq!(entries, vec![(1, r1), (2, r2)]);
+    }
+
+    #[test]
+    fn generations_track_the_bins_a_window_reads() {
+        let mut idx = idx();
+        let left = Rect::from_coords(0, 0, 10, 10);
+        let right = Rect::from_coords(500, 500, 510, 510);
+        assert_eq!(idx.generation_in(&left), 0);
+        idx.insert(1, left);
+        let v = idx.version();
+        assert_eq!(idx.generation_in(&left), v);
+        // A change far away leaves the left window's generation alone.
+        idx.insert(2, right);
+        assert_eq!(idx.generation_in(&left), v);
+        assert_eq!(idx.generation_in(&right), idx.version());
+        idx.remove(1, left);
+        assert_eq!(idx.generation_in(&left), idx.version());
+        // A failed remove bumps the version but touches no bin.
+        let before = idx.generation_in(&left);
+        assert!(!idx.remove(1, left));
+        assert_eq!(idx.generation_in(&left), before);
+    }
+
+    #[test]
+    fn for_each_intersecting_reports_spanning_rects_once() {
+        let mut idx = idx();
+        idx.insert(9, Rect::from_coords(0, 0, 500, 300));
+        idx.insert(4, Rect::from_coords(-100, -100, -50, -50));
+        let mut hits = Vec::new();
+        idx.for_each_intersecting(&Rect::from_coords(-200, -200, 1000, 1000), |id, _| {
+            hits.push(id)
+        });
+        hits.sort_unstable();
+        assert_eq!(hits, vec![4, 9]);
     }
 
     #[test]

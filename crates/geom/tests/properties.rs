@@ -114,6 +114,29 @@ proptest! {
         prop_assert_eq!(idx.query(&window), expected);
     }
 
+    /// `for_each_intersecting` reports exactly the entries of
+    /// `query_entries`, each once — including rectangles and windows that
+    /// stick out of the indexed region and get clamped to its edge bins.
+    #[test]
+    fn bin_index_for_each_matches_query_entries(
+        rects in prop::collection::vec(arb_rect(), 1..40),
+        window in arb_rect(),
+    ) {
+        // Half the generated coordinates fall outside the region.
+        let region = Rect::from_coords(-5_000, -5_000, 5_000, 5_000);
+        let mut idx = BinIndex::new(region, 700);
+        for (i, r) in rects.iter().enumerate() {
+            idx.insert(i as u64, *r);
+        }
+        let mut seen: Vec<(u64, Rect)> = Vec::new();
+        idx.for_each_intersecting(&window, |id, r| seen.push((id, *r)));
+        seen.sort_unstable();
+        let before_dedup = seen.len();
+        seen.dedup();
+        prop_assert_eq!(seen.len(), before_dedup);
+        prop_assert_eq!(seen, idx.query_entries(&window));
+    }
+
     #[test]
     fn bin_index_remove_is_exact(rects in prop::collection::vec(arb_rect(), 1..20)) {
         let region = Rect::from_coords(-10_000, -10_000, 10_000, 10_000);

@@ -1,6 +1,7 @@
 //! Shared cost-model parameters.
 
-use tpl_geom::Dbu;
+use tpl_design::LayerId;
+use tpl_geom::{Axis, Dbu, Dir};
 
 /// Parameters of the traditional (non-colour) part of the routing cost.
 ///
@@ -59,6 +60,23 @@ impl CostParams {
     pub fn wrong_way_cost(&self, len: Dbu) -> f64 {
         self.unit_wire * self.wrong_way_mult * len as f64
     }
+
+    /// The base cost of one grid move in direction `dir` out of a vertex on
+    /// `layer`, whose preferred axis is `axis`: a via, or one `pitch` of
+    /// preferred or wrong-way wire, which stays on `layer` and pays
+    /// `base_layer_mult` there when `layer` is the lowest.
+    #[inline]
+    pub fn move_cost(&self, dir: Dir, layer: LayerId, axis: Axis, pitch: Dbu) -> f64 {
+        let mut c = match dir.axis() {
+            None => self.via,
+            Some(a) if a != axis => self.wrong_way_cost(pitch),
+            Some(_) => self.wire_cost(pitch),
+        };
+        if dir.is_planar() && layer.index() == 0 {
+            c *= self.base_layer_mult;
+        }
+        c
+    }
 }
 
 #[cfg(test)]
@@ -70,6 +88,16 @@ mod tests {
         let p = CostParams::default();
         assert!(p.wrong_way_cost(20) > p.wire_cost(20));
         assert_eq!(p.wire_cost(20), 20.0);
+    }
+
+    #[test]
+    fn move_cost_prices_vias_wrong_way_and_the_base_layer() {
+        let p = CostParams::default();
+        let (m1, m2) = (LayerId::new(0), LayerId::new(1));
+        assert_eq!(p.move_cost(Dir::Up, m1, Axis::Horizontal, 20), p.via);
+        assert_eq!(p.move_cost(Dir::East, m2, Axis::Horizontal, 20), 20.0);
+        assert_eq!(p.move_cost(Dir::North, m2, Axis::Horizontal, 20), 40.0);
+        assert_eq!(p.move_cost(Dir::East, m1, Axis::Horizontal, 20), 80.0);
     }
 
     #[test]

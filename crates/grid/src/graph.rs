@@ -1,6 +1,7 @@
 //! The immutable routing grid graph.
 
-use tpl_design::{Design, LayerId};
+use crate::DenseBitSet;
+use tpl_design::{Design, LayerId, NetId, RouteGuides};
 use tpl_geom::{Axis, Dbu, Dir, Point, Rect};
 
 /// Dense identifier of a grid vertex.
@@ -140,16 +141,17 @@ impl GridGraph {
     /// Decomposes a vertex id into `(layer, ix, iy)`.
     #[inline]
     pub fn coords(&self, v: VertexId) -> (usize, usize, usize) {
-        let per_layer = self.nx * self.ny;
-        let layer = v.index() / per_layer;
-        let rem = v.index() % per_layer;
-        (layer, rem % self.nx, rem / self.nx)
+        // Vertex ids are `u32`, so the plane and row sizes fit too; 32-bit
+        // division is markedly cheaper than 64-bit on the search hot path.
+        let (plane, row) = ((self.nx * self.ny) as u32, self.nx as u32);
+        let (layer, rem) = (v.0 / plane, v.0 % plane);
+        (layer as usize, (rem % row) as usize, (rem / row) as usize)
     }
 
     /// The layer of a vertex.
     #[inline]
     pub fn layer_of(&self, v: VertexId) -> LayerId {
-        LayerId::from(self.coords(v).0)
+        LayerId::new(v.0 / (self.nx * self.ny) as u32)
     }
 
     /// The physical location of a vertex.
@@ -202,21 +204,30 @@ impl GridGraph {
         }
     }
 
-    /// Iterates over all `(dir, neighbor)` pairs of a vertex.
-    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (Dir, VertexId)> + '_ {
-        Dir::ALL
-            .into_iter()
-            .filter_map(move |d| self.neighbor(v, d).map(|n| (d, n)))
-    }
-
-    /// `true` when moving from a vertex in `dir` runs against the preferred
-    /// axis of its layer.
+    /// Iterates over all `(dir, neighbor)` pairs of a vertex, in
+    /// [`Dir::ALL`] order — the same sequence as [`neighbor`](Self::neighbor)
+    /// over every direction, but the vertex is decoded only once.
     #[inline]
-    pub fn is_wrong_way(&self, v: VertexId, dir: Dir) -> bool {
-        match dir.axis() {
-            Some(axis) => axis != self.layer_axes[self.coords(v).0],
-            None => false,
-        }
+    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (Dir, VertexId)> {
+        let (layer, ix, iy) = self.coords(v);
+        let row = self.nx as u32;
+        let plane = (self.nx * self.ny) as u32;
+        let raw = v.0;
+        [
+            (Dir::East, ix + 1 < self.nx, raw.wrapping_add(1)),
+            (Dir::West, ix > 0, raw.wrapping_sub(1)),
+            (Dir::North, iy + 1 < self.ny, raw.wrapping_add(row)),
+            (Dir::South, iy > 0, raw.wrapping_sub(row)),
+            (
+                Dir::Up,
+                layer + 1 < self.num_layers,
+                raw.wrapping_add(plane),
+            ),
+            (Dir::Down, layer > 0, raw.wrapping_sub(plane)),
+        ]
+        .into_iter()
+        .filter(|&(_, exists, _)| exists)
+        .map(|(dir, _, n)| (dir, VertexId::new(n)))
     }
 
     /// All vertices (on every layer present in `layers`) whose point lies
@@ -238,6 +249,23 @@ impl GridGraph {
             }
         }
         out
+    }
+
+    /// Per-net guide membership: bit `v` is set when vertex `v` lies in one
+    /// of the net's guide regions.  A net without guide regions may use
+    /// every vertex.
+    pub fn guide_membership(&self, guides: &RouteGuides, net: NetId) -> DenseBitSet {
+        let regions = guides.regions(net);
+        if regions.is_empty() {
+            return DenseBitSet::full(self.num_vertices());
+        }
+        let mut members = DenseBitSet::new(self.num_vertices());
+        for region in regions {
+            for v in self.vertices_in_rect(region.layer, &region.rect) {
+                members.insert(v.index());
+            }
+        }
+        members
     }
 
     /// Iterates over every vertex id.
@@ -301,6 +329,63 @@ mod tests {
         assert!(!dirs.contains(&Dir::North));
     }
 
+    fn grid_of(layers: usize, width: i64, height: i64) -> GridGraph {
+        let mut b = DesignBuilder::new(
+            "g",
+            Technology::ispd_like(layers),
+            Rect::from_coords(0, 0, width, height),
+        );
+        let p0 = b.add_pin_shape("a", 0, Rect::from_coords(0, 0, 10, 10));
+        let p1 = b.add_pin_shape(
+            "b",
+            0,
+            Rect::from_coords(width - 10, height - 10, width, height),
+        );
+        b.add_net("n", vec![p0, p1]);
+        GridGraph::build(&b.build().unwrap())
+    }
+
+    #[test]
+    fn neighbors_match_per_direction_lookup_everywhere() {
+        // Regular, 1-wide, 1-tall, 1-layer and single-vertex grids.
+        for (layers, w, h) in [
+            (3, 200, 200),
+            (2, 20, 200),
+            (3, 200, 20),
+            (1, 120, 80),
+            (1, 20, 20),
+        ] {
+            let g = grid_of(layers, w, h);
+            for v in g.iter_vertices() {
+                let want: Vec<(Dir, VertexId)> = Dir::ALL
+                    .into_iter()
+                    .filter_map(|d| g.neighbor(v, d).map(|n| (d, n)))
+                    .collect();
+                let got: Vec<(Dir, VertexId)> = g.neighbors(v).collect();
+                assert_eq!(got, want, "{layers} layers {}x{} at {v}", g.nx(), g.ny());
+            }
+        }
+        assert_eq!(grid_of(1, 20, 20).num_vertices(), 1);
+        assert_eq!(grid_of(2, 20, 200).nx(), 1);
+    }
+
+    #[test]
+    fn guide_membership_covers_regions_or_everything() {
+        let g = grid();
+        let mut guides = RouteGuides::new(2);
+        let all = g.guide_membership(&guides, NetId::new(0));
+        assert_eq!(all.count_ones(), g.num_vertices());
+        guides.add(
+            NetId::new(1),
+            LayerId::new(1),
+            Rect::from_coords(0, 0, 60, 60),
+        );
+        let some = g.guide_membership(&guides, NetId::new(1));
+        let want = g.vertices_in_rect(LayerId::new(1), &Rect::from_coords(0, 0, 60, 60));
+        assert_eq!(some.count_ones(), want.len());
+        assert!(want.iter().all(|v| some.get(v.index())));
+    }
+
     #[test]
     fn neighbor_is_inverse_of_opposite() {
         let g = grid();
@@ -312,18 +397,16 @@ mod tests {
     }
 
     #[test]
-    fn wrong_way_detection_follows_layer_axis() {
+    fn layer_axes_alternate() {
         let g = grid();
         // Layer 0 is horizontal: east/west are preferred, north/south wrong.
-        let v = g.vertex(0, 5, 5);
-        assert!(!g.is_wrong_way(v, Dir::East));
-        assert!(g.is_wrong_way(v, Dir::North));
+        assert_eq!(g.layer_axis(LayerId::new(0)), Axis::Horizontal);
+        assert_eq!(Dir::East.axis(), Some(Axis::Horizontal));
         // Layer 1 is vertical.
-        let v1 = g.vertex(1, 5, 5);
-        assert!(g.is_wrong_way(v1, Dir::East));
-        assert!(!g.is_wrong_way(v1, Dir::South));
-        // Vias are never wrong-way.
-        assert!(!g.is_wrong_way(v, Dir::Up));
+        assert_eq!(g.layer_axis(LayerId::new(1)), Axis::Vertical);
+        assert_eq!(g.layer_axis(LayerId::new(2)), Axis::Horizontal);
+        // Vias have no axis, so they are never wrong-way.
+        assert_eq!(Dir::Up.axis(), None);
     }
 
     #[test]

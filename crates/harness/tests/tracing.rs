@@ -146,12 +146,19 @@ fn real_flow_phases_match_between_worker_counts() {
         let phases = record.phases.as_ref().expect("traced jobs carry phases");
         assert!(!phases.is_empty());
         assert_eq!(phases.span("harness.execute").map(|s| s.count), Some(1));
-        // The instrumented Mr.TPL flow runs the core detailed router, which
-        // traces every net it routes (dac12 is an uninstrumented baseline).
-        if record.method == "mrtpl" {
+        // Both routers trace every net they route.
+        let net_span = match record.method.as_str() {
+            "mrtpl" => "core.route_net",
+            _ => "dac12.route_net",
+        };
+        assert!(
+            phases.span(net_span).map(|s| s.count).unwrap_or(0) > 0,
+            "no {net_span} spans in {phases:?}"
+        );
+        if record.method == "dac12" {
             assert!(
-                phases.span("core.route_net").map(|s| s.count).unwrap_or(0) > 0,
-                "no core.route_net spans in {phases:?}"
+                phases.counter("dac12.search_nodes").unwrap_or(0) > 0,
+                "no dac12.search_nodes counter in {phases:?}"
             );
         }
     }

@@ -6,8 +6,8 @@
 //! cargo run --release --example fig3_walkthrough
 //! ```
 
-use mr_tpl::color::{ColorMap, ColorState, Feature, Mask};
-use mr_tpl::core::{backtrace, search, ColorCostCache, MrTplConfig, NetBuffers, SearchContext};
+use mr_tpl::color::{ColorCostCache, ColorMap, ColorState, Feature, Mask};
+use mr_tpl::core::{backtrace, search, MrTplConfig, NetBuffers, SearchContext};
 use mr_tpl::design::{DesignBuilder, LayerId, NetId, RouteGuides, Technology};
 use mr_tpl::geom::Rect;
 use mr_tpl::grid::{DenseBitSet, GridGraph, GridState, PinCoverage};
