@@ -291,19 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_intersecting_reports_spanning_rects_once() {
-        let mut idx = idx();
-        idx.insert(9, Rect::from_coords(0, 0, 500, 300));
-        idx.insert(4, Rect::from_coords(-100, -100, -50, -50));
-        let mut hits = Vec::new();
-        idx.for_each_intersecting(&Rect::from_coords(-200, -200, 1000, 1000), |id, _| {
-            hits.push(id)
-        });
-        hits.sort_unstable();
-        assert_eq!(hits, vec![4, 9]);
-    }
-
-    #[test]
     fn touching_window_counts_as_hit() {
         let mut idx = idx();
         idx.insert(1, Rect::from_coords(10, 10, 20, 20));
