@@ -29,7 +29,7 @@ use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask};
 use tpl_design::{Design, LayerId, NetId, PinId};
 use tpl_geom::Dir;
 use tpl_grid::{
-    CancelToken, DenseBitSet, EpochStamps, Frontier, GridGraph, GridState, PinCoverage,
+    CancelToken, DenseBitSet, EpochStamps, Frontier, GoalBound, GridGraph, GridState, PinCoverage,
     RouteBudget, SearchConfig, StopReason, VertexId,
 };
 
@@ -398,79 +398,6 @@ impl<'a> SearchContext<'a> {
     }
 }
 
-/// Admissible lower bound to the nearest unreached pin.
-///
-/// Each unreached pin contributes the bounding box of its coverage vertices
-/// in track coordinates plus its layer range; `h(v)` is the cheapest
-/// conceivable cost of closing the Manhattan gap to the nearest box: planar
-/// track gaps cost at least the minimum planar step and layer gaps at least
-/// one via each.  Every additive cost term of [`SearchContext::trad_cost`]
-/// and [`SearchContext::color_step`] is non-negative on top of these minima,
-/// so the bound is admissible; one grid move changes each gap by at most one
-/// step, so it is also consistent and the first goal popped is optimal.
-struct GoalBound {
-    boxes: Vec<(i32, i32, i32, i32, i32, i32)>,
-    step: f64,
-    via: f64,
-}
-
-impl GoalBound {
-    fn build(ctx: &SearchContext<'_>, unreached: &[PinId]) -> Option<Self> {
-        let cost = &ctx.config.cost;
-        // Conservative minima: honour configs where the wrong-way or
-        // base-layer multipliers dip below 1.
-        let mult = cost
-            .wrong_way_mult
-            .min(1.0)
-            .min(cost.base_layer_mult.min(1.0));
-        let step = (ctx.config.alpha * cost.wire_cost(ctx.grid.pitch()) * mult).max(0.0);
-        let via = (ctx.config.alpha * cost.via).max(0.0);
-        let mut boxes = Vec::with_capacity(unreached.len());
-        for &pin in unreached {
-            let mut bbox: Option<(i32, i32, i32, i32, i32, i32)> = None;
-            for &v in ctx.coverage.vertices(pin) {
-                let (layer, ix, iy) = ctx.grid.coords(v);
-                let (l, x, y) = (layer as i32, ix as i32, iy as i32);
-                bbox = Some(match bbox {
-                    None => (x, x, y, y, l, l),
-                    Some((x0, x1, y0, y1, l0, l1)) => (
-                        x0.min(x),
-                        x1.max(x),
-                        y0.min(y),
-                        y1.max(y),
-                        l0.min(l),
-                        l1.max(l),
-                    ),
-                });
-            }
-            if let Some(b) = bbox {
-                boxes.push(b);
-            }
-        }
-        if boxes.is_empty() {
-            return None;
-        }
-        Some(Self { boxes, step, via })
-    }
-
-    #[inline]
-    fn h(&self, grid: &GridGraph, v: VertexId) -> f64 {
-        let (layer, ix, iy) = grid.coords(v);
-        let (l, x, y) = (layer as i32, ix as i32, iy as i32);
-        let mut best = f64::INFINITY;
-        for &(x0, x1, y0, y1, l0, l1) in &self.boxes {
-            let dx = (x0 - x).max(x - x1).max(0);
-            let dy = (y0 - y).max(y - y1).max(0);
-            let dl = (l0 - l).max(l - l1).max(0);
-            let h = (dx + dy) as f64 * self.step + dl as f64 * self.via;
-            if h < best {
-                best = h;
-            }
-        }
-        best
-    }
-}
-
 /// Colour-state searching (Algorithm 2): multi-source best-first search from
 /// the routed tree until a vertex covered by an unreached pin of the net is
 /// popped.  Returns that vertex and the pin, or `None` if no unreached pin is
@@ -498,8 +425,16 @@ pub fn search(
         }
     }
     let config = buffers.config;
+    // Every term `color_step` adds on top of `alpha * trad` is
+    // non-negative, so the shared bound at this `alpha` stays admissible.
     let bound = if config.a_star {
-        GoalBound::build(ctx, unreached)
+        GoalBound::build(
+            ctx.grid,
+            ctx.coverage,
+            &ctx.config.cost,
+            ctx.config.alpha,
+            unreached,
+        )
     } else {
         None
     };

@@ -1,7 +1,6 @@
 //! The full-design colour-blind detailed router (rip-up & reroute loop).
 
 use crate::{MazeContext, SearchBuffers};
-use std::collections::HashSet;
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
 use tpl_grid::{path_to_routed_net, CostParams, GridGraph, GridState, PinCoverage, VertexId};
 
@@ -37,6 +36,8 @@ pub struct DrCuStats {
     pub failed_nets: usize,
     /// Vertices still shared by two different nets after the final pass.
     pub remaining_overlaps: usize,
+    /// Maze-search frontier pops over all nets and iterations.
+    pub search_nodes: usize,
 }
 
 /// The outcome of a routing run.
@@ -64,6 +65,7 @@ impl DrCuRouter {
 
     /// Routes every net of the design inside the given guides.
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> DrCuResult {
+        let _route_span = tpl_trace::span!("drcu.route", nets = design.nets().len());
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
         let mut state = GridState::new(&grid, design);
@@ -87,11 +89,12 @@ impl DrCuRouter {
 
         let mut to_route: Vec<NetId> = order.clone();
         for iteration in 0..=self.config.max_rrr_iterations {
+            let _iter_span = tpl_trace::span!("drcu.rrr_iteration", iteration = iteration);
             stats.rrr_iterations = iteration;
             stats.failed_nets = 0;
             for &net_id in &to_route {
                 // Rip up any stale geometry of this net.
-                state.release_net(net_id);
+                state.release_vertices(&net_vertices[net_id.index()], net_id);
                 solution.rip_up(net_id);
                 net_vertices[net_id.index()].clear();
 
@@ -117,7 +120,7 @@ impl DrCuRouter {
             // Find overlap victims: nets whose vertices are also claimed by
             // an earlier-committed net are detectable by re-walking every
             // net's vertex list and checking the final occupant.
-            let victims = self.collect_overlap_victims(design, &grid, &mut state, &net_vertices);
+            let victims = self.collect_overlap_victims(design, &state, &net_vertices);
             if victims.is_empty() || iteration == self.config.max_rrr_iterations {
                 stats.remaining_overlaps = victims.len();
                 break;
@@ -126,16 +129,16 @@ impl DrCuRouter {
             let mut next: Vec<NetId> = victims.iter().map(|(net, _)| *net).collect();
             next.sort_unstable_by_key(|id| id.index());
             next.dedup();
-            for &(net, vertex) in &victims {
+            for &(_, vertex) in &victims {
                 state.add_history(vertex, self.config.history_increment);
-                let _ = net;
             }
             for &net in &next {
-                state.release_net(net);
+                state.release_vertices(&net_vertices[net.index()], net);
             }
             to_route = next;
         }
 
+        stats.search_nodes = buffers.search_nodes();
         DrCuResult {
             solution,
             stats,
@@ -156,6 +159,8 @@ impl DrCuRouter {
         guides: &RouteGuides,
         net_id: NetId,
     ) -> (RoutedNet, Vec<VertexId>, bool) {
+        let _net_span = tpl_trace::span!("drcu.route_net", net = net_id.index());
+        let nodes_before = buffers.search_nodes();
         let net = design.net(net_id);
         let in_guide = grid.guide_membership(guides, net_id);
         let ctx = MazeContext {
@@ -170,11 +175,11 @@ impl DrCuRouter {
 
         let mut routed = RoutedNet::new();
         let mut tree: Vec<VertexId> = Vec::new();
-        let mut tree_set: HashSet<VertexId> = HashSet::new();
+        buffers.begin_net();
 
         let start_pin = net.pins()[0];
         for &v in coverage.vertices(start_pin) {
-            if tree_set.insert(v) {
+            if buffers.add_tree(v) {
                 tree.push(v);
             }
         }
@@ -186,22 +191,17 @@ impl DrCuRouter {
                 Some((dst, pin)) => {
                     let path = ctx.backtrace(buffers, dst);
                     path_to_routed_net(grid, &path, &mut routed);
-                    for &v in &path {
-                        if tree_set.insert(v) {
-                            tree.push(v);
-                        }
-                    }
                     // The reached pin's own access vertices join the tree so
                     // later connections can start from them.
-                    for &v in coverage.vertices(pin) {
-                        if tree_set.insert(v) {
+                    for &v in path.iter().chain(coverage.vertices(pin)) {
+                        if buffers.add_tree(v) {
                             tree.push(v);
                         }
                     }
                     unreached.retain(|p| *p != pin);
                     // Any other pin covered by the path is also reached.
                     unreached
-                        .retain(|p| !coverage.vertices(*p).iter().any(|v| tree_set.contains(v)));
+                        .retain(|p| !coverage.vertices(*p).iter().any(|v| buffers.in_tree(*v)));
                 }
                 None => {
                     complete = false;
@@ -209,6 +209,7 @@ impl DrCuRouter {
                 }
             }
         }
+        tpl_trace::counter!("drcu.search_nodes", buffers.search_nodes() - nodes_before);
         (routed, tree, complete)
     }
 
@@ -218,8 +219,7 @@ impl DrCuRouter {
     fn collect_overlap_victims(
         &self,
         design: &Design,
-        _grid: &GridGraph,
-        state: &mut GridState,
+        state: &GridState,
         net_vertices: &[Vec<VertexId>],
     ) -> Vec<(NetId, VertexId)> {
         let mut victims = Vec::new();

@@ -16,6 +16,9 @@
 //!   depends on expansion order; kernels that need knob-independent output
 //!   (the global maze) drain the frontier through the goal key and rebuild
 //!   the path with a canonical backtrace instead of trusting `prev` order.
+//!   The Dr.CU-like maze in `tpl-drcu` applies the same two rules, with a
+//!   `(key, id)` tie-break, to return exactly Dijkstra's target and path
+//!   from a goal-directed search, so it has no knob to read.
 
 use crate::bucket::BucketQueue;
 use std::cmp::Reverse;

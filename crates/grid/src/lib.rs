@@ -30,6 +30,7 @@ mod bucket;
 mod budget;
 mod costs;
 mod epoch;
+mod goal;
 mod graph;
 mod kernel;
 mod path;
@@ -41,6 +42,7 @@ pub use bucket::BucketQueue;
 pub use budget::{CancelToken, Degradation, Outcome, RouteBudget, StopReason};
 pub use costs::CostParams;
 pub use epoch::EpochStamps;
+pub use goal::GoalBound;
 pub use graph::{GridGraph, VertexId};
 pub use kernel::{Frontier, SearchConfig};
 pub use path::path_to_routed_net;

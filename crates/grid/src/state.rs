@@ -80,26 +80,9 @@ impl GridState {
         self.occupant[v.index()] = net.0;
     }
 
-    /// Releases every vertex owned by `net` (rip-up).  Returns the number of
-    /// vertices released.
-    ///
-    /// This scans the whole grid; callers that track the vertices a net
-    /// occupies should prefer [`release_vertices`](Self::release_vertices),
-    /// which is `O(net)` instead of `O(grid)`.
-    pub fn release_net(&mut self, net: NetId) -> usize {
-        let mut released = 0;
-        for slot in self.occupant.iter_mut() {
-            if *slot == net.0 {
-                *slot = FREE;
-                released += 1;
-            }
-        }
-        released
-    }
-
     /// Releases the given vertices if (and only if) `net` owns them,
-    /// returning the number released.  The `O(net)` rip-up used by routers
-    /// that remember each net's committed vertex list.
+    /// returning the number released: the `O(net)` rip-up of routers, which
+    /// remember each net's committed vertex list.
     pub fn release_vertices(&mut self, vertices: &[VertexId], net: NetId) -> usize {
         let mut released = 0;
         for v in vertices {
@@ -185,7 +168,7 @@ mod tests {
         assert!(!s.is_occupied_by_other(v, net));
         assert!(s.is_occupied_by_other(v, other));
         assert_eq!(s.occupied_count(), 1);
-        assert_eq!(s.release_net(net), 1);
+        assert_eq!(s.release_vertices(&[v], net), 1);
         assert_eq!(s.occupant(v), None);
     }
 

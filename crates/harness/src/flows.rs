@@ -145,6 +145,9 @@ pub fn run_dac12(
 /// The flow never colours the layout, so the conflict and stitch columns are
 /// not applicable and reported as zero; the record's value is in the ISPD
 /// routing cost and the runtime (the routing share of the decompose flow).
+/// The `search_nodes` column stays 0 for this flow and for decompose, as the
+/// committed counter baselines pin it; the maze effort is in
+/// `DrCuStats::search_nodes` and the `drcu.search_nodes` trace counter.
 pub fn run_drcu(
     design: &Design,
     guides: &RouteGuides,

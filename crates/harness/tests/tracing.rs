@@ -125,7 +125,7 @@ fn real_flow_phases_match_between_worker_counts() {
     let _guard = trace_lock();
     tpl_trace::enable();
     let registry = MethodRegistry::builtin();
-    let methods = registry.select("dac12,mrtpl").unwrap();
+    let methods = registry.select("dac12,drcu,decompose,mrtpl").unwrap();
     let cases = run_suite(Suite::Ispd18, &[1], 0.25);
     let run = |jobs| {
         run_matrix(
@@ -146,19 +146,26 @@ fn real_flow_phases_match_between_worker_counts() {
         let phases = record.phases.as_ref().expect("traced jobs carry phases");
         assert!(!phases.is_empty());
         assert_eq!(phases.span("harness.execute").map(|s| s.count), Some(1));
-        // Both routers trace every net they route.
-        let net_span = match record.method.as_str() {
-            "mrtpl" => "core.route_net",
-            _ => "dac12.route_net",
+        // Every router traces every net it routes; decompose routes with
+        // the Dr.CU-like router.
+        let prefix = match record.method.as_str() {
+            "mrtpl" => "core",
+            "dac12" => "dac12",
+            _ => "drcu",
         };
+        let net_span = format!("{prefix}.route_net");
         assert!(
-            phases.span(net_span).map(|s| s.count).unwrap_or(0) > 0,
+            phases.span(&net_span).map(|s| s.count).unwrap_or(0) > 0,
             "no {net_span} spans in {phases:?}"
         );
-        if record.method == "dac12" {
+        if prefix != "core" {
+            for span in [format!("{prefix}.route"), format!("{prefix}.rrr_iteration")] {
+                assert!(phases.span(&span).is_some(), "no {span} span in {phases:?}");
+            }
+            let counter = format!("{prefix}.search_nodes");
             assert!(
-                phases.counter("dac12.search_nodes").unwrap_or(0) > 0,
-                "no dac12.search_nodes counter in {phases:?}"
+                phases.counter(&counter).unwrap_or(0) > 0,
+                "no {counter} counter in {phases:?}"
             );
         }
     }
