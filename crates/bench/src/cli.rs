@@ -1,6 +1,7 @@
 //! Argument parsing and text rendering of the `mrtpl-bench` binary.
 
 use std::path::Path;
+use std::time::Duration;
 use tpl_harness::{run_matrix, InputProvenance, MethodRegistry, RunOptions, RunReport};
 use tpl_ispd::{cases_from_def_dir, run_suite, Case, Suite};
 use tpl_metrics::{format_table, SuiteTotals, TableRow};
@@ -44,10 +45,6 @@ pub struct BenchArgs {
     /// Write trace exports (Chrome trace, per-phase metrics, wall-clock
     /// timings) into this directory; also turns tracing on for the run.
     pub trace: Option<String>,
-    /// Goal-directed A* in the search kernels (`--a-star on|off`).
-    pub a_star: bool,
-    /// Bucket priority queue in the search kernels (`--bucket-queue on|off`).
-    pub bucket_queue: bool,
     /// Search-node budget per attempt (`--budget`); deterministic, so it
     /// composes with `--deterministic` byte-comparisons.
     pub budget: Option<u64>,
@@ -78,8 +75,6 @@ impl Default for BenchArgs {
             lef: None,
             deterministic: false,
             trace: None,
-            a_star: true,
-            bucket_queue: true,
             budget: None,
             deadline: None,
             fault_plan: None,
@@ -117,15 +112,10 @@ OPTIONS:
                             (load in chrome://tracing or Perfetto),
                             DIR/metrics.json (report + per-phase counters)
                             and DIR/timings.json; never changes the report
-  --a-star <on|off>         goal-directed A* in the search kernels (default:
-                            on); never changes guides, but may pick different
-                            equal-cost ties in the mrtpl colour search
-  --bucket-queue <on|off>   bucket priority queue in the search kernels
-                            (default: on); never changes any result
   --budget <NODES>          search-node budget per attempt; budget-stopped
                             runs return best-so-far partial results marked
-                            degraded/aborted and retry down the degradation
-                            ladder; deterministic across --jobs/--net-jobs
+                            degraded and are never retried; deterministic
+                            across --jobs/--net-jobs
   --deadline <SECS>         wall-clock deadline per attempt (machine-
                             dependent; not for byte-compared runs)
   --fault-plan <SEED>       install a deterministic fault-injection plan:
@@ -164,11 +154,12 @@ pub fn parse_budget_value(v: &str) -> Result<u64, String> {
         .map_err(|_| format!("invalid --budget value `{v}`"))
 }
 
-/// Parses a `--deadline` value: a strictly positive, finite seconds count.
+/// Parses a `--deadline` value: a strictly positive seconds count that a
+/// [`Duration`] can hold.
 pub fn parse_deadline_value(v: &str) -> Result<f64, String> {
     v.parse::<f64>()
         .ok()
-        .filter(|s| s.is_finite() && *s > 0.0)
+        .filter(|s| *s > 0.0 && Duration::try_from_secs_f64(*s).is_ok())
         .ok_or_else(|| format!("invalid --deadline value `{v}`"))
 }
 
@@ -176,15 +167,6 @@ pub fn parse_deadline_value(v: &str) -> Result<f64, String> {
 pub fn parse_seed_value(v: &str) -> Result<u64, String> {
     v.parse::<u64>()
         .map_err(|_| format!("invalid --fault-plan seed `{v}`"))
-}
-
-/// Parses an `on|off` knob value (used by `--a-star` and `--bucket-queue`).
-pub fn parse_on_off(flag: &str, v: &str) -> Result<bool, String> {
-    match v {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!("invalid {flag} value `{v}` (on or off)")),
-    }
 }
 
 /// Parses `mrtpl-bench` arguments (without the program name).
@@ -221,10 +203,6 @@ pub fn parse_bench_args(args: impl Iterator<Item = String>) -> Result<BenchArgs,
             "--budget" => parsed.budget = Some(parse_budget_value(&take("--budget")?)?),
             "--deadline" => parsed.deadline = Some(parse_deadline_value(&take("--deadline")?)?),
             "--fault-plan" => parsed.fault_plan = Some(parse_seed_value(&take("--fault-plan")?)?),
-            "--a-star" => parsed.a_star = parse_on_off("--a-star", &take("--a-star")?)?,
-            "--bucket-queue" => {
-                parsed.bucket_queue = parse_on_off("--bucket-queue", &take("--bucket-queue")?)?
-            }
             "--def" => parsed.def = Some(take("--def")?),
             "--lef" => parsed.lef = Some(take("--lef")?),
             "--out" => parsed.out = Some(take("--out")?),
@@ -335,8 +313,6 @@ pub fn execute(args: &BenchArgs) -> Result<RunReport, String> {
         net_jobs: args.net_jobs,
         deterministic: args.deterministic,
         trace: args.trace.is_some(),
-        a_star: args.a_star,
-        bucket_queue: args.bucket_queue,
         max_search_nodes: args.budget,
         deadline_seconds: args.deadline,
     };
@@ -504,10 +480,6 @@ mod tests {
             "--trace",
             "out/trace",
             "--deterministic",
-            "--a-star",
-            "off",
-            "--bucket-queue",
-            "off",
         ])
         .unwrap();
         assert_eq!(args.suite, Suite::Ispd19);
@@ -520,21 +492,6 @@ mod tests {
         assert_eq!(args.out.as_deref(), Some("report.json"));
         assert_eq!(args.trace.as_deref(), Some("out/trace"));
         assert!(args.deterministic);
-        assert!(!args.a_star);
-        assert!(!args.bucket_queue);
-    }
-
-    #[test]
-    fn search_kernel_knobs_default_on_and_parse_on_off() {
-        let args = parse(&[]).unwrap();
-        assert!(args.a_star);
-        assert!(args.bucket_queue);
-        let args = parse(&["--a-star", "off"]).unwrap();
-        assert!(!args.a_star);
-        assert!(args.bucket_queue);
-        let args = parse(&["--bucket-queue", "off", "--a-star", "on"]).unwrap();
-        assert!(args.a_star);
-        assert!(!args.bucket_queue);
     }
 
     #[test]
@@ -570,6 +527,16 @@ mod tests {
     }
 
     #[test]
+    fn deadlines_beyond_any_duration_are_rejected() {
+        assert!(parse(&["--deadline", "1e300"])
+            .unwrap_err()
+            .contains("deadline"));
+        // Far but representable: accepted, and the harness runs it as no
+        // deadline when the instant overflows.
+        assert_eq!(parse(&["--deadline", "1e19"]).unwrap().deadline, Some(1e19));
+    }
+
+    #[test]
     fn timings_sidecar_sits_next_to_the_report() {
         assert_eq!(
             timings_sidecar_path("reports/foo.json"),
@@ -589,12 +556,6 @@ mod tests {
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("job"));
         assert!(parse(&["--net-jobs", "0"]).unwrap_err().contains("job"));
         assert!(parse(&["--format", "xml"]).unwrap_err().contains("format"));
-        assert!(parse(&["--a-star", "maybe"])
-            .unwrap_err()
-            .contains("a-star"));
-        assert!(parse(&["--bucket-queue", "1"])
-            .unwrap_err()
-            .contains("bucket-queue"));
         assert!(parse(&["--scale"]).unwrap_err().contains("missing value"));
         assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown"));
     }

@@ -1,6 +1,6 @@
 //! Configuration and statistics of the Mr.TPL router.
 
-use tpl_grid::{CostParams, Outcome, SearchConfig};
+use tpl_grid::{CostParams, Outcome};
 use tpl_par::Parallelism;
 
 /// How the searcher treats colour candidates during expansion.
@@ -46,11 +46,6 @@ pub struct MrTplConfig {
     /// frozen shared state, so the result is identical for every worker
     /// count (`jobs = 1` runs the same batched algorithm inline).
     pub parallelism: Parallelism,
-    /// Shortest-path kernel knobs (goal-directed A*, bucket queue, key
-    /// quantisation).  The `bucket_queue` knob never changes results; the
-    /// `a_star` knob preserves path cost but may pick a different equal-cost
-    /// tie where expansion order matters.
-    pub search: SearchConfig,
 }
 
 impl Default for MrTplConfig {
@@ -64,7 +59,6 @@ impl Default for MrTplConfig {
             history_increment: 60.0,
             policy: SearchPolicy::ColorStateSet,
             parallelism: Parallelism::sequential(),
-            search: SearchConfig::default(),
         }
     }
 }

@@ -180,14 +180,14 @@ impl MrTplRouter {
                     &pool,
                     || {
                         (
-                            NetBuffers::with_config(grid.num_vertices(), self.config.search),
+                            NetBuffers::new(grid.num_vertices()),
                             ColorCostCache::new(&grid),
                         )
                     },
                     |(buffers, cache), &net_id| {
                         // Goal direction only during negotiation: see
                         // `NetBuffers::set_goal_directed`.
-                        buffers.set_goal_directed(self.config.search.a_star && iteration > 0);
+                        buffers.set_goal_directed(iteration > 0);
                         buffers.arm_budget(remaining, budget);
                         let out = self.route_net(
                             design, &grid, &coverage, &gstate, buffers, cache, &map, guides, net_id,
@@ -586,21 +586,9 @@ mod tests {
     fn greedy_policy_produces_at_least_as_many_stitches() {
         let design = CaseParams::ispd18_like(2).scaled(0.35).generate();
         let guides = GlobalRouter::new(GlobalConfig::default()).route(&design);
-        // Pin goal direction off so both policies expand in plain Dijkstra
-        // order: the comparison is about the colour policy, and A*'s
-        // equal-cost tie-breaking would add noise to the stitch counts.
-        let search = tpl_grid::SearchConfig {
-            a_star: false,
-            ..tpl_grid::SearchConfig::default()
-        };
-        let set_based = MrTplRouter::new(MrTplConfig {
-            search,
-            ..MrTplConfig::default()
-        })
-        .route(&design, &guides);
+        let set_based = MrTplRouter::new(MrTplConfig::default()).route(&design, &guides);
         let greedy = MrTplRouter::new(MrTplConfig {
             policy: crate::SearchPolicy::GreedySingleColor,
-            search,
             ..MrTplConfig::default()
         })
         .route(&design, &guides);

@@ -8,9 +8,10 @@
 //!   membership in flat arrays guarded by [`EpochStamps`], so starting a
 //!   search costs O(sources + targets) instead of O(V).  The buffers are
 //!   arena-pooled per `tpl-par` worker by the router.
-//! * **Bucket frontier** — the priority queue is a [`Frontier`]: either the
-//!   monotone bucket queue or a binary heap, with provably identical pop
-//!   order (so the `bucket_queue` knob never changes results).
+//! * **Bucket frontier** — the priority queue is the monotone
+//!   [`BucketQueue`], whose pop order is exactly a binary heap's ascending
+//!   `(key, id)`.  Costs quantise to keys at a fixed 256 units per cost
+//!   unit.
 //! * **Goal-directed A\*** — an admissible, consistent Manhattan lower bound
 //!   to the nearest unreached pin's coverage box steers expansion towards
 //!   the goal instead of growing a full circle around the tree.  The router
@@ -29,13 +30,29 @@ use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask};
 use tpl_design::{Design, LayerId, NetId, PinId};
 use tpl_geom::Dir;
 use tpl_grid::{
-    CancelToken, DenseBitSet, EpochStamps, Frontier, GoalBound, GridGraph, GridState, PinCoverage,
-    RouteBudget, SearchConfig, StopReason, VertexId,
+    BucketQueue, CancelToken, DenseBitSet, EpochStamps, GoalBound, GridGraph, GridState,
+    PinCoverage, RouteBudget, StopReason, VertexId,
 };
 
 /// How many pops pass between wall-clock/cancellation probes (a power of
 /// two; node-count budgeting stays exact and per-pop).
 const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
+
+/// Key units per cost unit when quantising `f64` costs to frontier keys
+/// (the historical `(cost * 256.0) as u64` of the detailed router).
+const KEY_RESOLUTION: f64 = 256.0;
+
+/// `log2` key units per bucket: one bucket is 4096 key units, and the
+/// minimum planar step of the detailed grid is ~5120 key units, so
+/// consecutive expansions land a bucket or so apart and cursor scans stay
+/// short.
+const BUCKET_SHIFT: u32 = 12;
+
+/// Quantises a cost to its frontier key.
+#[inline]
+fn key(cost: f64) -> u64 {
+    (cost * KEY_RESOLUTION) as u64
+}
 
 /// Per-vertex search bookkeeping with three levels of epoch invalidation:
 /// per-search (distance, predecessor, colour state, queued key, target
@@ -44,7 +61,8 @@ const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
 /// net).
 #[derive(Debug)]
 pub struct NetBuffers {
-    config: SearchConfig,
+    /// Order the frontier by `d + h` (see [`NetBuffers::set_goal_directed`]).
+    goal_directed: bool,
     /// Guards `dist`, `prev`, `state` and `queued_key`.
     search: EpochStamps,
     dist: Vec<f64>,
@@ -60,7 +78,7 @@ pub struct NetBuffers {
     ver_set: Vec<u32>,
     /// Guards routed-tree membership (replaces the router's `HashSet`).
     tree: EpochStamps,
-    frontier: Frontier,
+    frontier: BucketQueue,
     nodes_popped: usize,
     frontier_pruned: usize,
     frontier_peak: usize,
@@ -80,16 +98,11 @@ pub struct NetBuffers {
 }
 
 impl NetBuffers {
-    /// Creates buffers for `num_vertices` grid vertices with default knobs.
+    /// Creates buffers for `num_vertices` grid vertices, goal-directed until
+    /// [`set_goal_directed`](Self::set_goal_directed) says otherwise.
     pub fn new(num_vertices: usize) -> Self {
-        Self::with_config(num_vertices, SearchConfig::default())
-    }
-
-    /// Creates buffers for `num_vertices` grid vertices with the given
-    /// kernel configuration.
-    pub fn with_config(num_vertices: usize, config: SearchConfig) -> Self {
         Self {
-            config,
+            goal_directed: true,
             search: EpochStamps::new(num_vertices),
             dist: vec![f64::INFINITY; num_vertices],
             prev: vec![u32::MAX; num_vertices],
@@ -100,7 +113,7 @@ impl NetBuffers {
             net: EpochStamps::new(num_vertices),
             ver_set: vec![u32::MAX; num_vertices],
             tree: EpochStamps::new(num_vertices),
-            frontier: Frontier::for_config(&config),
+            frontier: tpl_grid::frontier(BUCKET_SHIFT),
             nodes_popped: 0,
             frontier_pruned: 0,
             frontier_peak: 0,
@@ -110,11 +123,6 @@ impl NetBuffers {
             cancel: None,
             stop: None,
         }
-    }
-
-    /// The kernel configuration these buffers were built with.
-    pub fn config(&self) -> SearchConfig {
-        self.config
     }
 
     /// Starts routing a new net: verSet and tree membership become stale and
@@ -207,7 +215,7 @@ impl NetBuffers {
     /// wavefront — the bulk of total search effort — without degrading the
     /// negotiated solution.
     pub fn set_goal_directed(&mut self, enabled: bool) {
-        self.config.a_star = enabled;
+        self.goal_directed = enabled;
     }
 
     /// Test hook: jump all epoch counters to `epoch` to exercise `u32`
@@ -424,10 +432,9 @@ pub fn search(
             }
         }
     }
-    let config = buffers.config;
     // Every term `color_step` adds on top of `alpha * trad` is
     // non-negative, so the shared bound at this `alpha` stays admissible.
-    let bound = if config.a_star {
+    let bound = if buffers.goal_directed {
         GoalBound::build(
             ctx.grid,
             ctx.coverage,
@@ -440,14 +447,14 @@ pub fn search(
     };
     let h = |v: VertexId| bound.as_ref().map_or(0.0, |b| b.h(ctx.grid, v));
 
-    let mut frontier = std::mem::replace(&mut buffers.frontier, Frontier::for_config(&config));
+    let mut frontier = std::mem::replace(&mut buffers.frontier, tpl_grid::frontier(BUCKET_SHIFT));
     frontier.clear();
     for &(s, state) in sources {
         if ctx.state.is_blocked(s) {
             continue;
         }
         buffers.relax(s, 0.0, None, state);
-        let k = config.key(h(s));
+        let k = key(h(s));
         buffers.queued_key[s.index()] = k;
         frontier.push(k, s.0);
     }
@@ -485,7 +492,7 @@ pub fn search(
             if nd < buffers.dist(n) {
                 let was_fresh = buffers.search.is_fresh(n.index());
                 buffers.relax(n, nd, Some(v), new_state);
-                let nk = config.key(nd + h(n));
+                let nk = key(nd + h(n));
                 if !was_fresh || buffers.queued_key[n.index()] != nk {
                     // An improvement that lands on the already-queued key
                     // reuses that entry; it will expand with the new, better
@@ -598,49 +605,47 @@ mod tests {
     }
 
     #[test]
-    fn every_knob_combination_reaches_the_pin_at_identical_cost() {
+    fn keys_match_the_historical_quantisation() {
+        assert_eq!(key(1.0), 256);
+        assert_eq!(key(20.0), 5120);
+        assert_eq!(key(0.0), 0);
+    }
+
+    #[test]
+    fn goal_direction_reaches_the_pin_at_identical_cost() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
         let mut reference: Option<f64> = None;
-        for a_star in [false, true] {
-            for bucket_queue in [false, true] {
-                let config = SearchConfig {
-                    a_star,
-                    bucket_queue,
-                    ..SearchConfig::default()
-                };
-                let mut buffers = NetBuffers::with_config(f.grid.num_vertices(), config);
-                let mut cache = ColorCostCache::new(&f.grid);
-                buffers.begin_net();
-                cache.begin_net();
-                let sources = all_sources(&f);
-                let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-                    .expect("path exists");
-                let d = buffers.dist(dst);
-                match reference {
-                    None => reference = Some(d),
-                    Some(r) => assert!(
-                        (d - r).abs() < 1e-6,
-                        "a_star={a_star} bucket={bucket_queue}: cost {d} != {r}"
-                    ),
-                }
+        for goal_directed in [false, true] {
+            let mut buffers = NetBuffers::new(f.grid.num_vertices());
+            buffers.set_goal_directed(goal_directed);
+            let mut cache = ColorCostCache::new(&f.grid);
+            buffers.begin_net();
+            cache.begin_net();
+            let sources = all_sources(&f);
+            let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+                .expect("path exists");
+            let d = buffers.dist(dst);
+            match reference {
+                None => reference = Some(d),
+                Some(r) => assert!(
+                    (d - r).abs() < 1e-6,
+                    "goal_directed={goal_directed}: cost {d} != {r}"
+                ),
             }
         }
     }
 
     #[test]
-    fn a_star_prunes_the_frontier() {
+    fn goal_direction_prunes_the_frontier() {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
         let mut popped = Vec::new();
-        for a_star in [false, true] {
-            let config = SearchConfig {
-                a_star,
-                ..SearchConfig::default()
-            };
-            let mut buffers = NetBuffers::with_config(f.grid.num_vertices(), config);
+        for goal_directed in [false, true] {
+            let mut buffers = NetBuffers::new(f.grid.num_vertices());
+            buffers.set_goal_directed(goal_directed);
             let mut cache = ColorCostCache::new(&f.grid);
             buffers.begin_net();
             cache.begin_net();
@@ -881,12 +886,12 @@ mod tests {
         *s
     }
 
-    /// Property test of the satellite contract: on random grids (random pin
-    /// placement AND random per-vertex history costs) every knob combination
-    /// of the kernel reaches an unreached pin at exactly the cost the seed
-    /// Dijkstra would have paid.
+    /// Property test: on random grids (random pin placement AND random
+    /// per-vertex history costs) the kernel reaches an unreached pin at
+    /// exactly the cost the seed Dijkstra would have paid, with goal
+    /// direction on or off.
     #[test]
-    fn random_grids_match_reference_dijkstra_under_every_knob() {
+    fn random_grids_match_reference_dijkstra_with_and_without_goal_direction() {
         for seed in 1..=6u64 {
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut r = |m: u64| (xorshift(&mut s) % m) as i64;
@@ -942,26 +947,19 @@ mod tests {
             assert!(!sources.is_empty() && !targets.is_empty(), "seed {seed}");
             let want = reference_cheapest_target(&c, &sources, &targets);
             assert!(want.is_finite(), "seed {seed}: no path in reference");
-            for a_star in [false, true] {
-                for bucket_queue in [false, true] {
-                    let search_config = SearchConfig {
-                        a_star,
-                        bucket_queue,
-                        ..SearchConfig::default()
-                    };
-                    let mut buffers = NetBuffers::with_config(grid.num_vertices(), search_config);
-                    let mut cache = ColorCostCache::new(&grid);
-                    buffers.begin_net();
-                    cache.begin_net();
-                    let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-                        .expect("path exists");
-                    assert!(
-                        (buffers.dist(dst) - want).abs() < 1e-9,
-                        "seed {seed} a_star={a_star} bucket={bucket_queue}: \
-                         {} != reference {want}",
-                        buffers.dist(dst)
-                    );
-                }
+            for goal_directed in [false, true] {
+                let mut buffers = NetBuffers::new(grid.num_vertices());
+                buffers.set_goal_directed(goal_directed);
+                let mut cache = ColorCostCache::new(&grid);
+                buffers.begin_net();
+                cache.begin_net();
+                let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+                    .expect("path exists");
+                assert!(
+                    (buffers.dist(dst) - want).abs() < 1e-9,
+                    "seed {seed} goal_directed={goal_directed}: {} != reference {want}",
+                    buffers.dist(dst)
+                );
             }
         }
     }

@@ -4,11 +4,25 @@ use crate::GCellGrid;
 use std::cmp::Reverse;
 use tpl_design::{Design, LayerId, NetId, RouteGuides};
 use tpl_geom::Point;
-use tpl_grid::{EpochStamps, Frontier, Outcome, RouteBudget, SearchConfig, StopReason};
+use tpl_grid::{BucketQueue, EpochStamps, Outcome, RouteBudget, StopReason};
 use tpl_par::{par_map_pooled, plan_batches, Parallelism, Region, ScratchPool};
 
 /// How often the maze loop probes the wall-clock/cancellation checks.
 const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
+
+/// Key units per cost unit of the maze (the historical
+/// `(cost * 1024.0) as u64` quantisation).
+const KEY_RESOLUTION: f64 = 1024.0;
+
+/// `log2` key units per bucket: the minimum edge cost of 1.0 is exactly one
+/// bucket of `1 << 10` key units.
+const BUCKET_SHIFT: u32 = 10;
+
+/// Quantises a maze cost to its frontier key.
+#[inline]
+fn key(cost: f64) -> u64 {
+    (cost * KEY_RESOLUTION) as u64
+}
 
 /// Configuration of the global router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -34,11 +48,6 @@ pub struct GlobalConfig {
     /// routed concurrently against frozen edge demand, with updates applied
     /// at batch barriers.  The result is identical for every worker count.
     pub parallelism: Parallelism,
-    /// Shortest-path kernel knobs for the maze fallback.  The maze drains
-    /// its frontier through the goal key and rebuilds the path with a
-    /// canonical backtrace, so flipping either knob never changes the
-    /// routed paths — only the search effort.
-    pub search: SearchConfig,
 }
 
 impl Default for GlobalConfig {
@@ -52,14 +61,6 @@ impl Default for GlobalConfig {
             guide_expansion: 1,
             maze_margin: 8,
             parallelism: Parallelism::sequential(),
-            search: SearchConfig {
-                // Matches the historical `(cost * 1024.0) as u64` maze
-                // quantisation; the minimum edge cost of 1.0 is then exactly
-                // one bucket of `1 << 10` key units.
-                key_resolution: 1024.0,
-                bucket_shift: 10,
-                ..SearchConfig::default()
-            },
         }
     }
 }
@@ -101,16 +102,16 @@ struct MazeScratch {
     stamps: EpochStamps,
     dist: Vec<f64>,
     queued_key: Vec<u64>,
-    frontier: Frontier,
+    frontier: BucketQueue,
 }
 
 impl MazeScratch {
-    fn new(cells: usize, search: &SearchConfig) -> Self {
+    fn new(cells: usize) -> Self {
         Self {
             stamps: EpochStamps::new(cells),
             dist: vec![f64::INFINITY; cells],
             queued_key: vec![0; cells],
-            frontier: Frontier::for_config(search),
+            frontier: tpl_grid::frontier(BUCKET_SHIFT),
         }
     }
 }
@@ -376,7 +377,7 @@ impl GlobalRouter {
                     cfg.parallelism,
                     &nets,
                     &pool,
-                    || MazeScratch::new(grid.len(), &cfg.search),
+                    || MazeScratch::new(grid.len()),
                     |scratch, &net_id| {
                         self.route_net(
                             &grid,
@@ -642,11 +643,12 @@ fn path_cost(path: &[(usize, usize)], edges: &EdgeMap, cfg: &GlobalConfig) -> f6
 /// window is connected, so the search always succeeds when both endpoints
 /// lie inside it.  Also returns the number of frontier pops (search effort).
 ///
-/// The search is knob-independent by construction: instead of stopping when
-/// the goal pops, it drains every frontier entry whose key is within one
-/// quantum of the goal's settled key.  Every vertex on an optimal path is
-/// then settled to its exact minimal float distance whether or not the
-/// admissible Manhattan heuristic reordered the expansions, and the path is
+/// The search is goal-directed, and its path is independent of expansion
+/// order by construction: instead of stopping when the goal pops, it drains
+/// every frontier entry whose key is within one quantum of the goal's
+/// settled key.  Every vertex on an optimal path is then settled to its
+/// exact minimal float distance however the admissible Manhattan heuristic
+/// reordered the expansions, and the path is
 /// rebuilt by a *canonical backtrace* — walking from the goal and taking the
 /// first neighbour (in fixed west/east/south/north order) whose settled
 /// distance exactly accounts for the connecting edge.  The returned path is
@@ -672,7 +674,6 @@ fn maze_route(
     budget: &RouteBudget,
 ) -> MazeResult {
     let (wx0, wy0, wx1, wy1) = window;
-    let search = &cfg.search;
     let start = grid.index(src.0, src.1);
     let goal = grid.index(dst.0, dst.1);
     if start == goal {
@@ -680,11 +681,7 @@ fn maze_route(
     }
     // Admissible, consistent lower bound: every gcell step costs >= 1.0.
     let h = |x: usize, y: usize| -> f64 {
-        if search.a_star {
-            ((x as i64 - dst.0 as i64).abs() + (y as i64 - dst.1 as i64).abs()) as f64
-        } else {
-            0.0
-        }
+        ((x as i64 - dst.0 as i64).abs() + (y as i64 - dst.1 as i64).abs()) as f64
     };
 
     let MazeScratch {
@@ -697,7 +694,7 @@ fn maze_route(
     frontier.clear();
     stamps.touch(start);
     dist[start] = 0.0;
-    let start_key = search.key(h(src.0, src.1));
+    let start_key = key(h(src.0, src.1));
     queued_key[start] = start_key;
     frontier.push(start_key, start as u32);
     let mut popped = 0usize;
@@ -719,7 +716,7 @@ fn maze_route(
         if !stamps.is_fresh(u) || k != queued_key[u] {
             continue; // stale entry (exact key comparison)
         }
-        if stamps.is_fresh(goal) && k > search.key(dist[goal]) + 1 {
+        if stamps.is_fresh(goal) && k > key(dist[goal]) + 1 {
             // Every entry within one quantum of the goal's settled key has
             // been expanded: all optimal-path vertices hold their final
             // distances and the canonical backtrace below is exact.  The
@@ -730,14 +727,14 @@ fn maze_route(
         let ux = u % grid.nx();
         let uy = u / grid.nx();
         let du = dist[u];
-        let mut relax = |vx: usize, vy: usize, cost: f64, frontier: &mut Frontier| {
+        let mut relax = |vx: usize, vy: usize, cost: f64, frontier: &mut BucketQueue| {
             let v = grid.index(vx, vy);
             let nd = du + cost;
             let fresh = stamps.is_fresh(v);
             if !fresh || nd < dist[v] {
                 stamps.touch(v);
                 dist[v] = nd;
-                let nk = search.key(nd + h(vx, vy));
+                let nk = key(nd + h(vx, vy));
                 if !fresh || queued_key[v] != nk {
                     queued_key[v] = nk;
                     frontier.push(nk, v as u32);
@@ -930,7 +927,7 @@ mod tests {
         let edges = EdgeMap::new(grid.nx(), grid.ny(), 10);
         let window = (0, 0, grid.nx() - 1, grid.ny() - 1);
         let cfg = GlobalConfig::default();
-        let mut scratch = MazeScratch::new(grid.len(), &cfg.search);
+        let mut scratch = MazeScratch::new(grid.len());
         let (path, nodes, stop) = maze_route(
             &grid,
             &edges,
@@ -964,7 +961,7 @@ mod tests {
         let grid = GCellGrid::build(&d, 5);
         let edges = EdgeMap::new(grid.nx(), grid.ny(), 10);
         let cfg = GlobalConfig::default();
-        let mut scratch = MazeScratch::new(grid.len(), &cfg.search);
+        let mut scratch = MazeScratch::new(grid.len());
         let full = (0, 0, grid.nx() - 1, grid.ny() - 1);
         let (wide_path, wide_nodes, _) = maze_route(
             &grid,
@@ -1069,12 +1066,11 @@ mod tests {
         total
     }
 
-    /// Property test of the kernel's determinism contract in the global
-    /// router: on random congestion maps (random history and demand), every
-    /// knob combination returns the IDENTICAL path — not just an equal-cost
-    /// one — and that path's cost matches a reference Dijkstra exactly.
+    /// Property test of the goal-directed maze: on random congestion maps
+    /// (random history and demand) the returned path's cost matches a
+    /// reference Dijkstra exactly.
     #[test]
-    fn random_congestion_maps_yield_identical_paths_under_every_knob() {
+    fn random_congestion_maps_yield_reference_cost_paths() {
         let mut b = DesignBuilder::new(
             "rc",
             Technology::ispd_like(3),
@@ -1106,45 +1102,26 @@ mod tests {
                 (xorshift(&mut s) as usize) % nx,
                 (xorshift(&mut s) as usize) % ny,
             );
-            let base_cfg = GlobalConfig::default();
-            let want = reference_maze_cost(nx, ny, &edges, src, dst, &base_cfg);
-            let mut baseline: Option<Vec<(usize, usize)>> = None;
-            for a_star in [false, true] {
-                for bucket_queue in [false, true] {
-                    let cfg = GlobalConfig {
-                        search: SearchConfig {
-                            a_star,
-                            bucket_queue,
-                            ..base_cfg.search
-                        },
-                        ..base_cfg
-                    };
-                    let mut scratch = MazeScratch::new(grid.len(), &cfg.search);
-                    let (path, _, _) = maze_route(
-                        &grid,
-                        &edges,
-                        src,
-                        dst,
-                        window,
-                        &cfg,
-                        &mut scratch,
-                        u64::MAX,
-                        &RouteBudget::default(),
-                    );
-                    let path = path.expect("full window always has a path");
-                    assert!(
-                        (path_cost(&path, &edges, &cfg) - want).abs() < 1e-9,
-                        "seed {seed} a_star={a_star} bucket={bucket_queue}: cost drift"
-                    );
-                    match &baseline {
-                        None => baseline = Some(path),
-                        Some(reference) => assert_eq!(
-                            &path, reference,
-                            "seed {seed} a_star={a_star} bucket={bucket_queue}: path differs"
-                        ),
-                    }
-                }
-            }
+            let cfg = GlobalConfig::default();
+            let want = reference_maze_cost(nx, ny, &edges, src, dst, &cfg);
+            let mut scratch = MazeScratch::new(grid.len());
+            let (path, _, _) = maze_route(
+                &grid,
+                &edges,
+                src,
+                dst,
+                window,
+                &cfg,
+                &mut scratch,
+                u64::MAX,
+                &RouteBudget::default(),
+            );
+            let path = path.expect("full window always has a path");
+            assert_eq!((path[0], *path.last().unwrap()), (src, dst), "seed {seed}");
+            assert!(
+                (path_cost(&path, &edges, &cfg) - want).abs() < 1e-9,
+                "seed {seed}: cost drift"
+            );
         }
     }
 
@@ -1163,7 +1140,7 @@ mod tests {
         let edges = EdgeMap::new(grid.nx(), grid.ny(), 10);
         let window = (0, 0, grid.nx() - 1, grid.ny() - 1);
         let cfg = GlobalConfig::default();
-        let mut scratch = MazeScratch::new(grid.len(), &cfg.search);
+        let mut scratch = MazeScratch::new(grid.len());
         let (path, nodes, stop) = maze_route(
             &grid,
             &edges,

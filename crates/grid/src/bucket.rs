@@ -1,7 +1,7 @@
 //! Monotone bucket (Dial) priority queue for quantised search keys.
 //!
 //! Shortest-path search over the routing grid pushes entries whose keys are
-//! already quantised integers (`cost * key_resolution`).  A binary heap pays
+//! already quantised integers (`cost * resolution`).  A binary heap pays
 //! O(log n) per operation and churns one allocation-heavy `Vec` behind the
 //! scenes; Dial's bucket queue exploits the bounded key step of grid search
 //! to make push and pop O(1) amortised.
@@ -23,9 +23,8 @@
 //!   after every window entry; when the window drains the queue re-bases on
 //!   the overflow minimum and migrates the now-in-range entries.
 //!
-//! This is what lets the `bucket_queue` config knob guarantee byte-identical
-//! deterministic reports: flipping it changes only constants, never the
-//! expansion order.
+//! So a search on the bucket queue expands vertices in exactly the order a
+//! binary heap over the same keys would; only the constants differ.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

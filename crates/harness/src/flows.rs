@@ -17,63 +17,32 @@ use tpl_ispd::{score_solution, Case, CaseParams, ScoreWeights};
 use tpl_metrics::CaseRecord;
 use tpl_par::Parallelism;
 
-/// Generates a case and its route guides (the part shared by every method).
+/// Generates a synthetic case and its route guides (the part shared by every
+/// method), sequentially and without a budget.
 pub fn prepare_case(params: &CaseParams) -> (Design, RouteGuides) {
-    prepare_case_parallel(params, 1)
-}
-
-/// Like [`prepare_case`], but routes the guides with `net_jobs` workers.
-///
-/// Guide generation is deterministic in the worker count (the global router
-/// commits batch results in net order), so this only changes wall clock.
-pub fn prepare_case_parallel(params: &CaseParams, net_jobs: usize) -> (Design, RouteGuides) {
-    prepare(&Case::synthetic(params.clone()), net_jobs)
-}
-
-/// Prepares any benchmark [`Case`] — synthetic or externally ingested — by
-/// instantiating its design and routing the guides with `net_jobs` workers.
-pub fn prepare(case: &Case, net_jobs: usize) -> (Design, RouteGuides) {
-    prepare_with_search(case, net_jobs, true, true)
-}
-
-/// Like [`prepare`], with explicit search-kernel knobs for the global
-/// router's maze search.  The global router's solution is invariant to both
-/// knobs (the kernel's determinism contract), so every variant produces the
-/// same guides; the knobs only change search effort.
-pub fn prepare_with_search(
-    case: &Case,
-    net_jobs: usize,
-    a_star: bool,
-    bucket_queue: bool,
-) -> (Design, RouteGuides) {
-    let (design, guides, _) = prepare_with_budget(
-        case,
-        net_jobs,
-        a_star,
-        bucket_queue,
-        &RouteBudget::default(),
-    );
+    let (design, guides, _) = prepare(&Case::synthetic(params.clone()), 1, &RouteBudget::default());
     (design, guides)
 }
 
-/// Like [`prepare_with_search`], under a [`RouteBudget`] for the global
-/// router's maze searches.  Budget-stopped mazes degrade to L-patterns, so
-/// the guides always cover every pin; the returned [`Outcome`] says whether
-/// guide generation ran to completion or degraded/aborted.
-pub fn prepare_with_budget(
+/// Prepares any benchmark [`Case`] — synthetic or externally ingested — by
+/// instantiating its design and routing the guides with `net_jobs` workers
+/// under `budget`.
+///
+/// Guide generation is deterministic in the worker count (the global router
+/// commits batch results in net order), so `net_jobs` only changes wall
+/// clock.  Budget-stopped mazes degrade to L-patterns, so the guides always
+/// cover every pin; the returned [`Outcome`] says whether guide generation
+/// ran to completion or degraded/aborted.
+pub fn prepare(
     case: &Case,
     net_jobs: usize,
-    a_star: bool,
-    bucket_queue: bool,
     budget: &RouteBudget,
 ) -> (Design, RouteGuides, Outcome) {
     let design = case.instantiate();
-    let mut config = GlobalConfig {
+    let config = GlobalConfig {
         parallelism: Parallelism::new(net_jobs),
         ..GlobalConfig::default()
     };
-    config.search.a_star = a_star;
-    config.search.bucket_queue = bucket_queue;
     let (guides, stats) = GlobalRouter::new(config).route_with_budget(&design, budget);
     (design, guides, stats.outcome)
 }

@@ -14,9 +14,9 @@
 //!   isolation (a crashing case becomes a failed [`JobRecord`], not a dead
 //!   run) and stable input-order collection, so record order and every
 //!   non-wall-clock field are independent of the worker count.  Jobs run
-//!   under an optional [`RouteBudget`] and retry down a
-//!   [`Degradation`] ladder on panic or budget exhaustion, recording
-//!   `outcome`/`attempts`/`degradation` per record.
+//!   under an optional [`RouteBudget`]; a job runs once, and only a panicked
+//!   attempt is retried, once, with `net_jobs = 1`.  Each record carries its
+//!   `outcome` and `attempts`.
 //! * [`RunReport`] — a hand-rolled (serde-free) JSON report next to the
 //!   plain-text paper tables of `tpl-metrics`.
 //!
@@ -45,5 +45,5 @@ mod scheduler;
 pub use method::{Dac12Method, DecomposeMethod, DrCuMethod, Method, MethodRegistry, MrTplMethod};
 pub use report::{InputProvenance, RunReport};
 pub use scheduler::{run_matrix, JobOutcome, JobRecord, PreparedCase, RunOptions};
-pub use tpl_grid::{CancelToken, Degradation, Outcome, RouteBudget, StopReason};
+pub use tpl_grid::{CancelToken, Outcome, RouteBudget, StopReason};
 pub use tpl_trace::TaskPhases;

@@ -48,18 +48,12 @@ impl Method for MrTplMethod {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        // The scheduler's `--net-jobs` and search knobs compose with (and
-        // override) the method's own defaults; determinism is guaranteed by
-        // the router.  The attempt's degradation rung then cheapens the
-        // search config and may force sequential net routing.
-        let degradation = case.degradation();
-        let mut config = MrTplConfig {
-            parallelism: Parallelism::new(degradation.degraded_net_jobs(case.net_jobs())),
+        // The scheduler's `--net-jobs` composes with (and overrides) the
+        // method's own default; determinism is guaranteed by the router.
+        let config = MrTplConfig {
+            parallelism: Parallelism::new(case.net_jobs()),
             ..self.config
         };
-        config.search.a_star = case.a_star();
-        config.search.bucket_queue = case.bucket_queue();
-        config.search = degradation.apply(config.search);
         let mut record = flows::run_mrtpl_budgeted(design, guides, &config, &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record

@@ -6,6 +6,9 @@
 //! `tpl-metrics`/`tpl-bench`; this is the format CI and downstream tooling
 //! consume.
 //!
+//! Every record says how the kept attempt ended (`outcome`) and how many
+//! attempts ran (`attempts`: 1, or 2 after a panicked first attempt).
+//!
 //! ```json
 //! {
 //!   "schema_version": 1,
@@ -26,11 +29,10 @@
 //!       "cost": 31415.9,
 //!       "runtime_seconds": 0.42,
 //!       "outcome": "complete",
-//!       "attempts": 1,
-//!       "degradation": "none"
+//!       "attempts": 1
 //!     },
 //!     { "method": "mrtpl", "case": "...", "status": "failed", "error": "...",
-//!       "outcome": "failed", "attempts": 4, "degradation": "sequential" }
+//!       "outcome": "failed", "attempts": 2 }
 //!   ],
 //!   "totals": { "dac12": { "cases": 10, "failed": 0, "conflicts": 3, ... } },
 //!   "geomean_speedup_vs_dac12": { "mrtpl": 1.7 }
@@ -304,9 +306,9 @@ fn record_json(record: &JobRecord, with_phases: bool) -> JsonValue {
             }
         }
     }
-    // The robustness triple every record carries: how the kept attempt ended
+    // The robustness pair every record carries: how the kept attempt ended
     // (`complete`/`degraded`/`aborted`, or `failed` when no attempt produced
-    // a record), how many ladder attempts ran, and the rung that produced it.
+    // a record) and how many attempts ran.
     entries.push((
         "outcome".to_string(),
         JsonValue::str(match &record.outcome {
@@ -317,10 +319,6 @@ fn record_json(record: &JobRecord, with_phases: bool) -> JsonValue {
     entries.push((
         "attempts".to_string(),
         JsonValue::UInt(record.attempts as u64),
-    ));
-    entries.push((
-        "degradation".to_string(),
-        JsonValue::str(record.degradation.as_str()),
     ));
     if with_phases {
         if let Some(phases) = record.phases.as_ref().filter(|p| !p.is_empty()) {
@@ -372,7 +370,6 @@ fn totals_json(report: &RunReport, method: &str) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpl_grid::Degradation;
 
     fn ok(method: &str, case: &str, conflicts: usize, rt: f64) -> JobRecord {
         JobRecord {
@@ -389,7 +386,6 @@ mod tests {
             wall_seconds: rt,
             phases: None,
             attempts: 1,
-            degradation: Degradation::None,
         }
     }
 
@@ -403,8 +399,7 @@ mod tests {
             },
             wall_seconds: 0.5,
             phases: None,
-            attempts: Degradation::ladder().len(),
-            degradation: Degradation::Sequential,
+            attempts: 2,
         }
     }
 
@@ -449,14 +444,13 @@ mod tests {
             "\"outcome\": \"complete\"",
             "\"outcome\": \"failed\"",
             "\"attempts\": 1",
-            "\"attempts\": 4",
-            "\"degradation\": \"none\"",
-            "\"degradation\": \"sequential\"",
+            "\"attempts\": 2",
             "\"totals\"",
             "\"geomean_speedup_vs_dac12\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
+        assert!(!json.contains("degradation"), "{json}");
         // Balanced braces/brackets, i.e. structurally sound output.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -10,13 +10,12 @@
 //! Each job runs under [`std::panic::catch_unwind`]: a crashing method/case
 //! pair becomes a [`JobOutcome::Failed`] record instead of killing the run.
 //!
-//! On top of the panic isolation sits a **graceful-degradation ladder**: a
-//! job whose attempt panics or ends non-[`Outcome::Complete`] (budget
-//! exhaustion, deadline) is retried with progressively cheaper search
-//! configurations — A* off, then a coarser key quantisation, then sequential
-//! net routing — bounded by [`Degradation::ladder`].  The best record of any
-//! attempt is kept, and every [`JobRecord`] reports how many `attempts` ran
-//! and which `degradation` rung produced its record.
+//! On top of the panic isolation sits one **retry rule**: a job runs once,
+//! and only an attempt that panicked is retried, once, with sequential net
+//! routing (`net_jobs = 1`) under a fresh fault scope.  A record that ends
+//! non-[`Outcome::Complete`] (budget exhaustion, deadline, cancellation) is
+//! kept as it is: retrying a deterministic budget trip repeats the same
+//! search.  Every [`JobRecord`] reports how many `attempts` ran (1 or 2).
 
 use crate::flows;
 use crate::Method;
@@ -25,10 +24,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tpl_design::{Design, RouteGuides};
-use tpl_grid::{Degradation, Outcome, RouteBudget, StopReason};
+use tpl_grid::{Outcome, RouteBudget};
 use tpl_ispd::Case;
 use tpl_metrics::CaseRecord;
 use tpl_trace::TaskPhases;
+
+/// Attempts a job may make: the first run plus one retry after a panic.
+const MAX_ATTEMPTS: usize = 2;
 
 /// The lazily-shared preparation of one case, dropped after its last method.
 struct CaseSlot {
@@ -58,9 +60,6 @@ pub struct PreparedCase<'a> {
     case: &'a Case,
     slot: &'a CaseSlot,
     net_jobs: usize,
-    a_star: bool,
-    bucket_queue: bool,
-    degradation: Degradation,
     max_search_nodes: Option<u64>,
     deadline_seconds: Option<f64>,
 }
@@ -71,42 +70,25 @@ impl PreparedCase<'_> {
         self.case
     }
 
-    /// Intra-case net-level worker count (`RunOptions::net_jobs`).  Methods
-    /// that support it thread this into their router configuration; the
-    /// routers guarantee results are identical for every value.
+    /// Intra-case net-level worker count of this attempt:
+    /// `RunOptions::net_jobs` on the first attempt, 1 on the retry after a
+    /// panic.  Methods that support it thread this into their router
+    /// configuration; the routers guarantee results are identical for every
+    /// value.
     pub fn net_jobs(&self) -> usize {
         self.net_jobs
     }
 
-    /// Whether goal-directed A* is enabled (`RunOptions::a_star`).  Methods
-    /// with a search kernel thread this into their router configuration.
-    pub fn a_star(&self) -> bool {
-        self.a_star
-    }
-
-    /// Whether the bucket priority queue is enabled
-    /// (`RunOptions::bucket_queue`).  Never changes any record — the kernel
-    /// guarantees identical pop order with either frontier.
-    pub fn bucket_queue(&self) -> bool {
-        self.bucket_queue
-    }
-
-    /// The degradation rung this attempt runs at.  Methods with a search
-    /// kernel apply it to their `SearchConfig` (and net-level worker count)
-    /// via [`Degradation::apply`] / [`Degradation::degraded_net_jobs`].
-    pub fn degradation(&self) -> Degradation {
-        self.degradation
-    }
-
     /// A fresh [`RouteBudget`] for this attempt.  The search-node ceiling is
     /// deterministic; the wall-clock deadline (if any) starts counting at the
-    /// moment of this call, i.e. at attempt start.
+    /// moment of this call, i.e. at attempt start.  A deadline too far away
+    /// to represent as an [`Instant`] means no deadline.
     pub fn budget(&self) -> RouteBudget {
         RouteBudget {
             max_search_nodes: self.max_search_nodes,
             deadline: self
                 .deadline_seconds
-                .map(|s| Instant::now() + Duration::from_secs_f64(s)),
+                .and_then(|s| Instant::now().checked_add(Duration::try_from_secs_f64(s).ok()?)),
             ..RouteBudget::default()
         }
     }
@@ -114,10 +96,10 @@ impl PreparedCase<'_> {
     /// The generated design, its route guides, and the guide-generation
     /// [`Outcome`], built on first use.
     ///
-    /// Preparation always runs under the requested (non-degraded) search
-    /// knobs, the canonical fault scope `prepare/<case>`, and a node-count
-    /// budget only (no deadline, no cancel token): whichever job or attempt
-    /// pays for it, the shared result is identical by construction.
+    /// Preparation always runs under the canonical fault scope
+    /// `prepare/<case>` and a node-count budget only (no deadline, no cancel
+    /// token): whichever job or attempt pays for it, the shared result is
+    /// identical by construction.
     pub fn get(&self) -> Arc<(Design, RouteGuides, Outcome)> {
         let mut guard = lock_ignoring_poison(&self.slot.data);
         if let Some(prepared) = guard.as_ref() {
@@ -134,13 +116,7 @@ impl PreparedCase<'_> {
             max_search_nodes: self.max_search_nodes,
             ..RouteBudget::default()
         };
-        let prepared = Arc::new(flows::prepare_with_budget(
-            self.case,
-            self.net_jobs,
-            self.a_star,
-            self.bucket_queue,
-            &budget,
-        ));
+        let prepared = Arc::new(flows::prepare(self.case, self.net_jobs, &budget));
         *guard = Some(prepared.clone());
         prepared
     }
@@ -169,15 +145,6 @@ pub struct RunOptions {
     /// primary report ([`RunReport::to_json`](crate::RunReport::to_json)
     /// ignores phases) — they surface only in trace exports.
     pub trace: bool,
-    /// Goal-directed A* in the search kernels (default on).  The global
-    /// router's solution is invariant to this knob; the Mr.TPL colour-state
-    /// search preserves path cost but may pick different equal-cost ties, so
-    /// turning it off can change mrtpl records.
-    pub a_star: bool,
-    /// Bucket (Dial) priority queue in the search kernels (default on).
-    /// Guaranteed to never change any record — pop order is identical to the
-    /// binary-heap fallback by construction.
-    pub bucket_queue: bool,
     /// Search-node budget per attempt (`--budget`).  Deterministic: the
     /// routers account nodes at batch barriers, so a budgeted run produces
     /// identical records for every `jobs`/`net_jobs` value.  `None` means
@@ -196,8 +163,6 @@ impl Default for RunOptions {
             deterministic: false,
             net_jobs: 1,
             trace: false,
-            a_star: true,
-            bucket_queue: true,
             max_search_nodes: None,
             deadline_seconds: None,
         }
@@ -238,16 +203,13 @@ pub struct JobRecord {
     /// tracing enabled).  Deterministic runs zero the wall-clock components,
     /// leaving counts and sums that are worker-count-invariant.
     pub phases: Option<TaskPhases>,
-    /// How many ladder attempts actually executed for this job (1 when the
-    /// first attempt completed, up to [`Degradation::ladder`]`.len()`).
+    /// How many attempts executed for this job: 1, or 2 when the first
+    /// attempt panicked and the job was retried.
     pub attempts: usize,
-    /// The degradation rung that produced the kept record (or the last rung
-    /// tried, if every attempt failed).
-    pub degradation: Degradation,
 }
 
 /// Equality compares the deterministic content of a job — method, case,
-/// outcome, attempts/degradation, and phase aggregates — and ignores
+/// outcome, attempts, and phase aggregates — and ignores
 /// `wall_seconds`, which is measurement metadata that legitimately differs
 /// between otherwise identical runs.  The determinism tests rely on exactly
 /// this contract.
@@ -258,7 +220,6 @@ impl PartialEq for JobRecord {
             && self.outcome == other.outcome
             && self.phases == other.phases
             && self.attempts == other.attempts
-            && self.degradation == other.degradation
     }
 }
 
@@ -360,19 +321,17 @@ pub fn run_matrix(methods: &[&dyn Method], cases: &[Case], options: &RunOptions)
         .collect()
 }
 
-/// Runs one (method, case) job with panic isolation and the degradation
-/// ladder.  Case preparation runs inside the same isolation, so a crash
-/// while generating a case also becomes a failed record.
+/// Runs one (method, case) job with panic isolation and the retry rule.
+/// Case preparation runs inside the same isolation, so a crash while
+/// generating a case also becomes a failed record.
 ///
-/// Each ladder rung is one attempt under [`catch_unwind`].  An attempt that
-/// returns a [`Outcome::Complete`] record (or is cancelled) ends the ladder;
-/// a panic or a budget-degraded/aborted record triggers a retry at the next
-/// cheaper rung.  The best record across attempts is kept — smallest
-/// [`Outcome`], earliest rung on ties, so a clean early record is never
-/// replaced by a later, more degraded one.  If no attempt produced a record,
-/// the job fails with the last panic's message and phase.
+/// Each attempt runs under [`catch_unwind`] and its own fault scope
+/// `<method>/<case>/a<n>`.  The first attempt that returns a record ends the
+/// job, whatever its [`Outcome`].  A panic is retried once, with
+/// `net_jobs = 1`; if the retry panics too, the job fails with its message
+/// and phase.
 ///
-/// With `task` set the whole job (all attempts) runs under that trace task
+/// With `task` set the whole job (both attempts) runs under that trace task
 /// id and its aggregated [`TaskPhases`] are collected into the record;
 /// wall-clock time is measured regardless (even in deterministic mode, where
 /// only the byte-compared `CaseRecord::runtime_seconds` is zeroed).
@@ -388,25 +347,22 @@ fn run_job(
     let task_guard = task.map(tpl_trace::task);
     let started = Instant::now();
 
-    let ladder = Degradation::ladder();
-    let mut best: Option<(CaseRecord, Degradation)> = None;
-    let mut last_failure: Option<(String, Option<String>)> = None;
     let mut attempts = 0;
-    for &rung in &ladder {
+    let outcome = loop {
         attempts += 1;
         let prepared = PreparedCase {
             case,
             slot,
-            net_jobs: options.net_jobs.max(1),
-            a_star: options.a_star,
-            bucket_queue: options.bucket_queue,
-            degradation: rung,
+            net_jobs: if attempts == 1 {
+                options.net_jobs.max(1)
+            } else {
+                1
+            },
             max_search_nodes: options.max_search_nodes,
             deadline_seconds: options.deadline_seconds,
         };
-        // Every attempt runs under its own fault scope, so a seeded fault
-        // plan that crashes attempt 1 does not automatically crash the
-        // retries — exactly the recovery path the ladder exists to exercise.
+        // A fresh fault scope per attempt, so a seeded fault plan that
+        // crashes attempt 1 does not automatically crash the retry.
         let scope_label = format!("{}/{}/a{}", method.name(), case.name(), attempts);
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _fault_scope = tpl_fault::scope(&scope_label);
@@ -415,44 +371,26 @@ fn run_job(
             method.run(&prepared)
         }));
         match result {
-            Ok(record) => {
-                let done = record.outcome.is_complete()
-                    || record.outcome == Outcome::Aborted(StopReason::Cancelled);
-                let better = match &best {
-                    None => true,
-                    Some((kept, _)) => record.outcome < kept.outcome,
-                };
-                if better {
-                    best = Some((record, rung));
+            Ok(mut record) => {
+                if options.deterministic {
+                    record.runtime_seconds = 0.0;
                 }
-                if done {
-                    break;
-                }
+                break JobOutcome::Ok(record);
             }
             Err(payload) => {
-                last_failure = Some((
-                    panic_message(payload.as_ref()),
-                    tpl_trace::take_panic_span().map(str::to_string),
-                ));
+                let failure = JobOutcome::Failed {
+                    error: panic_message(payload.as_ref()),
+                    phase: tpl_trace::take_panic_span().map(str::to_string),
+                };
+                if attempts == MAX_ATTEMPTS {
+                    break failure;
+                }
             }
         }
-    }
+    };
 
     let wall_seconds = started.elapsed().as_secs_f64();
     drop(task_guard);
-    let (outcome, degradation) = match best {
-        Some((mut record, rung)) => {
-            if options.deterministic {
-                record.runtime_seconds = 0.0;
-            }
-            (JobOutcome::Ok(record), rung)
-        }
-        None => {
-            let (error, phase) = last_failure
-                .unwrap_or_else(|| ("job produced neither record nor panic".to_string(), None));
-            (JobOutcome::Failed { error, phase }, ladder[attempts - 1])
-        }
-    };
     let phases = task.and_then(|id| {
         let mut phases = tpl_trace::take_task_phases(id)?;
         if options.deterministic {
@@ -468,7 +406,6 @@ fn run_job(
         wall_seconds,
         phases,
         attempts,
-        degradation,
     }
 }
 
@@ -540,7 +477,7 @@ mod tests {
     }
 
     /// Panics on the first `failures` calls per instance, then succeeds,
-    /// reporting which degradation rung the successful attempt ran at.
+    /// reporting the `net_jobs` the successful attempt ran with.
     struct FlakyStub {
         failures: usize,
         calls: AtomicUsize,
@@ -560,30 +497,7 @@ mod tests {
             assert!(call >= self.failures, "transient failure #{call}");
             CaseRecord {
                 case: case.case().name().to_string(),
-                conflicts: case.degradation() as usize,
-                ..CaseRecord::default()
-            }
-        }
-    }
-
-    /// Always returns a budget-degraded record, so the ladder never stops
-    /// early and every rung is tried.
-    struct AlwaysDegraded;
-
-    impl Method for AlwaysDegraded {
-        fn name(&self) -> &'static str {
-            "degraded"
-        }
-
-        fn description(&self) -> &'static str {
-            "test stub whose records always report a budget trip"
-        }
-
-        fn run(&self, case: &PreparedCase) -> CaseRecord {
-            CaseRecord {
-                case: case.case().name().to_string(),
-                conflicts: case.degradation() as usize,
-                outcome: Outcome::Degraded(StopReason::SearchNodes),
+                conflicts: case.net_jobs(),
                 ..CaseRecord::default()
             }
         }
@@ -688,33 +602,24 @@ mod tests {
     }
 
     #[test]
-    fn a_flaky_job_recovers_on_a_ladder_retry() {
+    fn a_flaky_job_recovers_on_a_sequential_retry() {
         let flaky = FlakyStub {
             failures: 1,
             calls: AtomicUsize::new(0),
         };
-        let records = run_matrix(&[&flaky], &tiny_cases(1), &RunOptions::default());
+        let options = RunOptions {
+            net_jobs: 4,
+            ..RunOptions::default()
+        };
+        let records = run_matrix(&[&flaky], &tiny_cases(1), &options);
         assert_eq!(records.len(), 1);
         let record = records[0].record().expect("retry should have succeeded");
         assert_eq!(records[0].attempts, 2);
-        assert_eq!(records[0].degradation, Degradation::NoAStar);
-        assert_eq!(record.conflicts, Degradation::NoAStar as usize);
+        assert_eq!(record.conflicts, 1, "the retry routes with net_jobs = 1");
     }
 
     #[test]
-    fn a_degraded_job_tries_every_rung_and_keeps_the_earliest() {
-        let records = run_matrix(&[&AlwaysDegraded], &tiny_cases(1), &RunOptions::default());
-        assert_eq!(records.len(), 1);
-        let record = records[0].record().expect("degraded records are kept");
-        assert_eq!(records[0].attempts, Degradation::ladder().len());
-        // All rungs tied on outcome, so the first (least degraded) record wins.
-        assert_eq!(records[0].degradation, Degradation::None);
-        assert_eq!(record.conflicts, Degradation::None as usize);
-        assert_eq!(record.outcome, Outcome::Degraded(StopReason::SearchNodes));
-    }
-
-    #[test]
-    fn an_exhausted_ladder_reports_the_last_rung() {
+    fn a_job_that_panics_twice_fails_after_two_attempts() {
         let flaky = FlakyStub {
             failures: usize::MAX,
             calls: AtomicUsize::new(0),
@@ -722,11 +627,8 @@ mod tests {
         let records = run_matrix(&[&flaky], &tiny_cases(1), &RunOptions::default());
         assert_eq!(records.len(), 1);
         assert!(records[0].error().unwrap().contains("transient failure"));
-        assert_eq!(records[0].attempts, Degradation::ladder().len());
-        assert_eq!(
-            records[0].degradation,
-            *Degradation::ladder().last().unwrap()
-        );
+        assert_eq!(records[0].attempts, 2);
+        assert_eq!(flaky.calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -98,10 +98,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A budget-limited real run (which trips mid-route for small budgets
-    /// and walks the degradation ladder) is byte-identical across both
-    /// worker dimensions: node accounting happens at batch barriers, so
-    /// neither `--jobs` nor `--net-jobs` can move where the budget lands.
+    /// A budget-limited real run (which trips mid-route for small budgets)
+    /// is byte-identical across both worker dimensions: node accounting
+    /// happens at batch barriers, so neither `--jobs` nor `--net-jobs` can
+    /// move where the budget lands.
     #[test]
     fn budget_limited_real_runs_are_identical_across_worker_counts(
         jobs in 2usize..=4,

@@ -10,17 +10,19 @@
 //! 1. `run_matrix` returns (a wedged scheduler or a lost worker would hang
 //!    the test binary instead),
 //! 2. every job slot is filled with a record — ok, degraded or failed,
-//! 3. the JSON report parses and carries a valid robustness triple
-//!    (`outcome`/`attempts`/`degradation`) on every record.
+//! 3. the JSON report parses and carries a valid robustness pair
+//!    (`outcome`, and `attempts` of 1 or 2) on every record.
+//!
+//! A job runs once; only a panicked attempt is retried, once.  A budget
+//! trip is never retried, so a budget-stopped record always reports one
+//! attempt.
 //!
 //! The fault plan is process-global state, so everything runs inside one
 //! mutex-serialised helper and the plan is always cleared afterwards.
 
 use std::sync::Mutex;
 use tpl_harness::json::JsonValue;
-use tpl_harness::{
-    run_matrix, Degradation, InputProvenance, JobRecord, MethodRegistry, RunOptions, RunReport,
-};
+use tpl_harness::{run_matrix, InputProvenance, JobRecord, MethodRegistry, RunOptions, RunReport};
 use tpl_ispd::{run_suite, Case, Suite};
 
 /// Serialises every test that touches the process-global fault plan.
@@ -75,7 +77,7 @@ fn report(records: Vec<JobRecord>) -> RunReport {
     }
 }
 
-/// Parses a report and checks the robustness triple on every record.
+/// Parses a report and checks the robustness pair on every record.
 fn assert_report_valid(json: &str) {
     let parsed = JsonValue::parse(json).expect("fault-plan report must stay valid JSON");
     let records = parsed
@@ -83,7 +85,6 @@ fn assert_report_valid(json: &str) {
         .and_then(JsonValue::as_array)
         .expect("report has a records array");
     assert!(!records.is_empty());
-    let ladder_len = Degradation::ladder().len() as f64;
     for record in records {
         let status = record.get("status").and_then(JsonValue::as_str).unwrap();
         assert!(["ok", "failed"].contains(&status), "status {status}");
@@ -94,18 +95,8 @@ fn assert_report_valid(json: &str) {
         );
         assert_eq!(status == "failed", outcome == "failed");
         let attempts = record.get("attempts").and_then(JsonValue::as_f64).unwrap();
-        assert!(
-            (1.0..=ladder_len).contains(&attempts),
-            "attempts {attempts}"
-        );
-        let degradation = record
-            .get("degradation")
-            .and_then(JsonValue::as_str)
-            .unwrap();
-        assert!(
-            ["none", "no_a_star", "coarse_key", "sequential"].contains(&degradation),
-            "degradation {degradation}"
-        );
+        assert!((1.0..=2.0).contains(&attempts), "attempts {attempts}");
+        assert!(record.get("degradation").is_none());
     }
 }
 
@@ -114,8 +105,8 @@ fn fault_plans_never_wedge_the_scheduler_and_reports_stay_valid() {
     let _serial = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
     let _clear = ClearPlan;
     // A spread of seeds: small, large, and bit-heavy, each with and without
-    // a node budget so both the fault-driven and the budget-driven ladder
-    // paths are exercised.
+    // a node budget so both the fault-driven retry and the budget-stopped
+    // single attempt are exercised.
     for seed in [0, 1, 7, 42, 0xDEAD_BEEF, u64::MAX] {
         for budget in [None, Some(500)] {
             let records = run_with_plan(Some(seed), 2, budget);
@@ -174,8 +165,36 @@ fn a_zero_budget_degrades_but_still_reports_every_case() {
                 !case.outcome.is_complete(),
                 "a zero-budget mrtpl run cannot complete"
             );
-            assert_eq!(record.attempts, Degradation::ladder().len());
+            assert_eq!(record.attempts, 1, "a budget trip is never retried");
         }
     }
     assert_report_valid(&report(records).to_json());
+}
+
+#[test]
+fn an_unrepresentable_deadline_runs_to_completion() {
+    let _serial = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
+    let _clear = ClearPlan;
+    tpl_fault::clear();
+    let registry = MethodRegistry::builtin();
+    let methods = registry.select("mrtpl").unwrap();
+    // 1e19 s converts to a `Duration` but overflows `Instant`; 1e300 s is
+    // no `Duration` at all.  Either way the run has no deadline.
+    for seconds in [1e19, 1e300] {
+        let records = run_matrix(
+            &methods,
+            &run_suite(Suite::Ispd18, &[1], 0.2),
+            &RunOptions {
+                deadline_seconds: Some(seconds),
+                ..RunOptions::default()
+            },
+        );
+        let record = records[0].record().expect("the job must not panic");
+        assert!(
+            record.outcome.is_complete(),
+            "{seconds}: {:?}",
+            record.outcome
+        );
+        assert_eq!(records[0].attempts, 1);
+    }
 }
