@@ -1,8 +1,10 @@
-//! Incremental spatial map of coloured features.
+//! Incremental spatial map of coloured features and the per-vertex colour
+//! pressure field the grid searches read.
 
 use crate::Mask;
 use tpl_design::{LayerId, NetId};
-use tpl_geom::{BinIndex, Dbu, Rect};
+use tpl_geom::{BinIndex, Dbu, Point, Rect};
+use tpl_grid::{GridGraph, VertexId};
 
 /// What kind of layout object a feature represents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,6 +67,10 @@ impl Feature {
     }
 }
 
+/// Half the side of the square footprint a route through a grid vertex
+/// occupies: the vertex point expanded by this on every side.
+const FOOTPRINT_HALF_WIDTH: Dbu = 4;
+
 /// An incremental spatial index of coloured features.
 ///
 /// Routers insert each net's coloured wires as they commit them and query the
@@ -72,33 +78,54 @@ impl Feature {
 /// many features of *other* nets printed on mask *m* lie within `Dcolor` of
 /// this rectangle?" — the per-mask colour cost of Eq. (1).  Rip-up removes a
 /// net's features again.
+///
+/// The map also keeps that answer for every grid vertex up to date: the
+/// *pressure field* counts, per vertex and mask, the live masked features
+/// within `Dcolor` of the vertex [`footprint`](Self::footprint).  Every
+/// [`insert`](Self::insert) and [`remove_net`](Self::remove_net) adjusts
+/// exactly the vertices whose count it changes, so the grid searches read
+/// [`vertex_pressure`](Self::vertex_pressure) in O(1).  The field counts
+/// the features of *every* net; it equals the search's "other nets"
+/// pressure because a net never has live features while it is searched —
+/// both routers rip a net up before rerouting it and commit its features
+/// only after search and mask assignment.
 #[derive(Clone, Debug)]
 pub struct ColorMap {
     dcolor: Dbu,
+    grid: GridGraph,
     per_layer: Vec<BinIndex>,
     features: Vec<Feature>,
     alive: Vec<bool>,
-    /// Live features per net id (grown on demand).
-    live_per_net: Vec<u32>,
+    /// Ids of each net's live features, by net index (grown on demand).
+    net_features: Vec<Vec<u32>>,
+    /// Number of live features.
+    live: usize,
+    /// Per grid vertex and mask: live masked features within `dcolor` of
+    /// the vertex footprint.
+    pressure: Vec<[u32; 3]>,
 }
 
 impl ColorMap {
-    /// Creates an empty map covering `die` with `num_layers` layers and the
-    /// given colour-spacing distance.
+    /// Creates an empty map over `grid` (its die and layers) with the given
+    /// colour-spacing distance.
     ///
     /// # Panics
     ///
-    /// Panics if `num_layers` is zero or `dcolor` is not positive.
-    pub fn new(die: Rect, num_layers: usize, dcolor: Dbu) -> Self {
-        assert!(num_layers > 0, "need at least one layer");
+    /// Panics if `dcolor` is not positive.
+    pub fn new(grid: &GridGraph, dcolor: Dbu) -> Self {
         assert!(dcolor > 0, "dcolor must be positive");
         let bin = (4 * dcolor).max(64);
         Self {
             dcolor,
-            per_layer: (0..num_layers).map(|_| BinIndex::new(die, bin)).collect(),
+            grid: grid.clone(),
+            per_layer: (0..grid.num_layers())
+                .map(|_| BinIndex::new(grid.die(), bin))
+                .collect(),
             features: Vec::new(),
             alive: Vec::new(),
-            live_per_net: Vec::new(),
+            net_features: Vec::new(),
+            live: 0,
+            pressure: vec![[0; 3]; grid.num_vertices()],
         }
     }
 
@@ -109,13 +136,15 @@ impl ColorMap {
     }
 
     /// Number of live features.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.alive.iter().filter(|a| **a).count()
+        self.live
     }
 
     /// `true` when the map holds no live features.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
     /// Inserts a feature and returns its index.
@@ -132,54 +161,90 @@ impl ColorMap {
         let id = self.features.len();
         self.per_layer[feature.layer.index()].insert(id as u64, feature.rect);
         if let Some(net) = feature.net {
-            if self.live_per_net.len() <= net.index() {
-                self.live_per_net.resize(net.index() + 1, 0);
+            if self.net_features.len() <= net.index() {
+                self.net_features.resize_with(net.index() + 1, Vec::new);
             }
-            self.live_per_net[net.index()] += 1;
+            self.net_features[net.index()].push(id as u32);
         }
         self.features.push(feature);
         self.alive.push(true);
+        self.live += 1;
+        self.update_field(&feature, true);
         id
     }
 
     /// Removes every live feature of the given net (rip-up).  Returns how
     /// many features were removed.
     pub fn remove_net(&mut self, net: NetId) -> usize {
-        let mut removed = 0;
-        for (id, feature) in self.features.iter().enumerate() {
-            if self.alive[id] && feature.net == Some(net) {
-                self.alive[id] = false;
-                self.per_layer[feature.layer.index()].remove(id as u64, feature.rect);
-                removed += 1;
+        let Some(ids) = self.net_features.get_mut(net.index()) else {
+            return 0;
+        };
+        let mut ids = std::mem::take(ids);
+        let removed = ids.len();
+        for &id in &ids {
+            let feature = self.features[id as usize];
+            self.alive[id as usize] = false;
+            self.per_layer[feature.layer.index()].remove(u64::from(id), feature.rect);
+            self.update_field(&feature, false);
+        }
+        self.live -= removed;
+        // Keep the allocation for the net's next commit.
+        ids.clear();
+        self.net_features[net.index()] = ids;
+        removed
+    }
+
+    /// Adds (`add`) or subtracts one for `feature`'s mask at every vertex of
+    /// its layer whose footprint lies within `dcolor` of it.
+    fn update_field(&mut self, feature: &Feature, add: bool) {
+        let Some(mask) = feature.mask else {
+            return;
+        };
+        let grid = &self.grid;
+        // Rounding to the nearest track over-covers the exact track box of
+        // the reach; the spacing test below makes the count exact.
+        let reach = feature
+            .rect
+            .expanded(self.dcolor - 1 + FOOTPRINT_HALF_WIDTH);
+        let layer = feature.layer.index();
+        for iy in grid.iy_near(reach.lo.y)..=grid.iy_near(reach.hi.y) {
+            for ix in grid.ix_near(reach.lo.x)..=grid.ix_near(reach.hi.x) {
+                let at = Point::new(grid.x_of(ix), grid.y_of(iy));
+                if feature.rect.spacing_to(&footprint_at(at)) < self.dcolor {
+                    let count =
+                        &mut self.pressure[grid.vertex(layer, ix, iy).index()][mask.index()];
+                    if add {
+                        *count += 1;
+                    } else {
+                        *count -= 1;
+                    }
+                }
             }
         }
-        if let Some(live) = self.live_per_net.get_mut(net.index()) {
-            *live = 0;
-        }
-        removed
     }
 
     /// `true` when `net` has at least one live feature in the map.
     #[inline]
     pub fn has_live_features(&self, net: NetId) -> bool {
-        self.live_per_net.get(net.index()).is_some_and(|&n| n > 0)
+        self.net_features
+            .get(net.index())
+            .is_some_and(|ids| !ids.is_empty())
     }
 
-    /// The number of inserts and removes on `layer` so far (see
-    /// [`pressure_generation`](Self::pressure_generation)).
+    /// The wire footprint a route through vertex `v` would occupy.
     #[inline]
-    pub fn version(&self, layer: LayerId) -> u64 {
-        self.per_layer[layer.index()].version()
+    pub fn footprint(&self, v: VertexId) -> Rect {
+        footprint_at(self.grid.point_of(v))
     }
 
-    /// The newest [`version`](Self::version) of `layer` at which a feature
-    /// was inserted into or removed from any bin that
-    /// [`mask_pressure`](Self::mask_pressure)`(_, layer, rect)` reads.  A
-    /// pressure computed at version `v` for a net with no live features is
-    /// still exact for any such net while this stays `<= v`.
+    /// Per-mask pressure at vertex `v`: `result[m]` is the number of live
+    /// features printed on mask `m` within `dcolor` of
+    /// [`footprint(v)`](Self::footprint), clamped to `u16::MAX`.  For a net
+    /// without live features this is exactly
+    /// [`mask_pressure`](Self::mask_pressure)`(net, layer_of(v), &footprint(v))`.
     #[inline]
-    pub fn pressure_generation(&self, layer: LayerId, rect: &Rect) -> u64 {
-        self.per_layer[layer.index()].generation_in(&rect.expanded(self.dcolor - 1))
+    pub fn vertex_pressure(&self, v: VertexId) -> [u16; 3] {
+        self.pressure[v.index()].map(|n| n.min(u32::from(u16::MAX)) as u16)
     }
 
     /// Per-mask pressure around a rectangle: `result[m]` is the number of
@@ -193,8 +258,7 @@ impl ColorMap {
         self.per_layer[layer.index()].for_each_intersecting(&window, |id, r| {
             let f = &self.features[id as usize];
             if let Some(mask) = f.mask {
-                if self.alive[id as usize] && f.net != Some(net) && r.spacing_to(rect) < self.dcolor
-                {
+                if f.net != Some(net) && r.spacing_to(rect) < self.dcolor {
                     pressure[mask.index()] += 1;
                 }
             }
@@ -202,22 +266,41 @@ impl ColorMap {
         pressure
     }
 
-    /// All live features (mostly for building the final [`crate::ColoredLayout`]).
+    /// All live features in insertion order (mostly for building the final
+    /// [`crate::ColoredLayout`]).
     pub fn live_features(&self) -> impl Iterator<Item = &Feature> {
         self.features
             .iter()
-            .enumerate()
-            .filter(|(i, _)| self.alive[*i])
-            .map(|(_, f)| f)
+            .zip(&self.alive)
+            .filter(|(_, alive)| **alive)
+            .map(|(f, _)| f)
     }
+}
+
+/// The footprint of a route through the grid vertex at `at`.
+#[inline]
+fn footprint_at(at: Point) -> Rect {
+    Rect::from_point(at).expanded(FOOTPRINT_HALF_WIDTH)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpl_design::{DesignBuilder, Technology};
+
+    fn grid() -> GridGraph {
+        let design = DesignBuilder::new(
+            "map",
+            Technology::ispd_like(3),
+            Rect::from_coords(0, 0, 1000, 1000),
+        )
+        .build()
+        .unwrap();
+        GridGraph::build(&design)
+    }
 
     fn map() -> ColorMap {
-        ColorMap::new(Rect::from_coords(0, 0, 1000, 1000), 3, 45)
+        ColorMap::new(&grid(), 45)
     }
 
     #[test]
@@ -342,6 +425,34 @@ mod tests {
             &Rect::from_coords(0, 54, 100, 64),
         );
         assert_eq!(p, [1, 0, 0]);
+    }
+
+    #[test]
+    fn vertex_pressure_reflects_nearby_colored_features() {
+        let grid = grid();
+        let mut m = ColorMap::new(&grid, 45);
+        // A red wire of net 5 along y=110 on layer 0.
+        m.insert(Feature::wire(
+            NetId::new(5),
+            LayerId::new(0),
+            Rect::from_coords(0, 106, 1000, 114),
+            Some(Mask::Red),
+        ));
+        // One track away (within dcolor) there is pressure; three tracks
+        // away (70 dbu) and on another layer there is none.
+        let near = grid.vertex(0, 5, grid.iy_near(130));
+        assert_eq!(m.vertex_pressure(near), [1, 0, 0]);
+        assert_eq!(
+            m.vertex_pressure(grid.vertex(0, 5, grid.iy_near(190))),
+            [0, 0, 0]
+        );
+        assert_eq!(
+            m.vertex_pressure(grid.vertex(1, 5, grid.iy_near(130))),
+            [0, 0, 0]
+        );
+        assert_eq!(m.remove_net(NetId::new(5)), 1);
+        assert_eq!(m.vertex_pressure(near), [0, 0, 0]);
+        assert!(m.is_empty());
     }
 
     #[test]

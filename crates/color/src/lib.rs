@@ -13,9 +13,9 @@
 //! * [`ColorMap`] — an incremental spatial map of already-coloured features,
 //!   answering "how many features of another net with mask *m* lie within
 //!   `Dcolor` of this rectangle?", the quantity behind `Cost_color` in
-//!   Eq. (1).
-//! * [`ColorCostCache`] — per-vertex memo of that quantity for the grid
-//!   searches, kept across nets while the map around a vertex is unchanged.
+//!   Eq. (1).  It keeps that quantity for every grid vertex up to date as
+//!   features are inserted and ripped up, so the grid searches read it in
+//!   O(1) ([`ColorMap::vertex_pressure`]).
 //! * [`ColoredLayout`] — a finished, fully coloured layout on which colour
 //!   conflicts and stitches are counted for the evaluation tables.
 //!
@@ -33,14 +33,12 @@
 
 #![warn(missing_docs)]
 
-mod colorcost;
 mod colormap;
 mod layout;
 mod mask;
 mod sets;
 mod state;
 
-pub use colorcost::ColorCostCache;
 pub use colormap::{ColorMap, Feature, FeatureKind};
 pub use layout::{ColoredLayout, ConflictPair, LayoutStats, StitchSite};
 pub use mask::Mask;

@@ -2,8 +2,18 @@
 
 use proptest::prelude::*;
 use tpl_color::{ColorMap, ColorState, ColoredLayout, Feature, Mask};
-use tpl_design::{LayerId, NetId};
+use tpl_design::{DesignBuilder, LayerId, NetId, Technology};
 use tpl_geom::Rect;
+use tpl_grid::GridGraph;
+
+/// The grid of an empty design on `die` with `layers` canonical layers
+/// (pitch 20, first track at offset 10).
+fn grid(die: Rect, layers: usize) -> GridGraph {
+    let design = DesignBuilder::new("grid", Technology::ispd_like(layers), die)
+        .build()
+        .expect("an empty design is valid");
+    GridGraph::build(&design)
+}
 
 fn arb_state() -> impl Strategy<Value = ColorState> {
     (0u8..8).prop_map(ColorState::from_bits)
@@ -113,7 +123,7 @@ proptest! {
     ) {
         let die = Rect::from_coords(0, 0, 2000, 2000);
         let dcolor = 45;
-        let mut map = ColorMap::new(die, 2, dcolor);
+        let mut map = ColorMap::new(&grid(die, 2), dcolor);
         let mut features = Vec::new();
         for (net, gx, gy, len, mask) in wires {
             let rect = Rect::from_coords(gx * 20, gy * 20, gx * 20 + len * 20, gy * 20 + 8);
@@ -140,7 +150,7 @@ proptest! {
         victim in 0u32..4,
     ) {
         let die = Rect::from_coords(0, 0, 2000, 2000);
-        let mut map = ColorMap::new(die, 1, 45);
+        let mut map = ColorMap::new(&grid(die, 1), 45);
         let mut victim_count = 0;
         for (net, gx, gy, mask) in &wires {
             let rect = Rect::from_coords(gx * 20, gy * 20, gx * 20 + 20, gy * 20 + 8);
@@ -155,5 +165,52 @@ proptest! {
         prop_assert_eq!(map.len(), before - victim_count);
         // No live feature of the victim remains.
         prop_assert!(map.live_features().all(|f| f.net != Some(NetId::new(victim))));
+    }
+    /// Random `insert`/`remove_net` sequences: after every step the
+    /// incrementally kept pressure field equals a fresh `mask_pressure`
+    /// query, asked by the last ripped-up net, at every vertex.  Wires reach
+    /// past the die edge, and the offsets put wire edges exactly `dcolor`
+    /// and `dcolor - 1` away from vertex footprints.
+    #[test]
+    fn vertex_pressure_matches_mask_pressure_after_random_edits(
+        steps in prop::collection::vec(
+            (0u32..24, 0u32..3, -3i64..22, -3i64..22, 0i64..6, any::<bool>(), 0usize..5, 0usize..6),
+            1..30
+        ),
+    ) {
+        let die = Rect::from_coords(0, 0, 400, 400);
+        let dcolor = 45;
+        let grid = grid(die, 3);
+        let mut map = ColorMap::new(&grid, dcolor);
+        let mut ripped = NetId::new(99);
+        for (op, layer, gx, gy, len, horizontal, mask, offset) in steps {
+            let net = NetId::new(op % 6);
+            if op >= 18 {
+                let live = map.live_features().filter(|f| f.net == Some(net)).count();
+                prop_assert_eq!(map.remove_net(net), live);
+                prop_assert!(!map.has_live_features(net));
+                ripped = net;
+            } else {
+                // Footprints span 6..14 (mod 20).  A wire starting at 19
+                // (mod 20) is exactly dcolor past a footprint's high edge,
+                // at 18 one dbu closer; a wire 8 wide starting at 13 ends
+                // exactly dcolor before a footprint's low edge, at 14 one
+                // dbu closer.
+                let shift = [0, 3, 19, 18, 13, 14][offset];
+                let (x, y) = (gx * 20 + shift, gy * 20 + shift);
+                let rect = if horizontal {
+                    Rect::from_coords(x, y, x + 20 + len * 20, y + 8)
+                } else {
+                    Rect::from_coords(x, y, x + 8, y + 20 + len * 20)
+                };
+                let mask = (mask < 3).then(|| Mask::from_index(mask));
+                map.insert(Feature::wire(net, LayerId::new(layer), rect, mask));
+            }
+            let asker = if map.has_live_features(ripped) { NetId::new(99) } else { ripped };
+            for v in grid.iter_vertices() {
+                let fresh = map.mask_pressure(asker, grid.layer_of(v), &map.footprint(v));
+                prop_assert_eq!(map.vertex_pressure(v), fresh.map(|n| n as u16));
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::NetBuffers;
 use std::collections::HashMap;
-use tpl_color::{ColorCostCache, ColorMap, ColorSetArena, Mask, SegSetId};
+use tpl_color::{ColorMap, ColorSetArena, Mask, SegSetId};
 use tpl_design::{Design, NetId, PinId, RouteSegment, RoutedNet, ViaInstance};
 use tpl_geom::Segment;
 use tpl_grid::{GridGraph, PinCoverage, VertexId};
@@ -45,7 +45,6 @@ pub fn assign_and_emit(
     coverage: &PinCoverage,
     arena: &mut ColorSetArena,
     buffers: &NetBuffers,
-    cache: &mut ColorCostCache,
     map: &ColorMap,
     net: NetId,
     paths: &[Vec<VertexId>],
@@ -77,7 +76,7 @@ pub fn assign_and_emit(
         for mask in candidates {
             let pressure: u64 = vertices
                 .iter()
-                .map(|v| cache.pressure(grid, map, net, *v)[mask.index()] as u64)
+                .map(|v| map.vertex_pressure(*v)[mask.index()] as u64)
                 .sum();
             if pressure < best_pressure {
                 best_pressure = pressure;
@@ -245,7 +244,7 @@ mod tests {
         let d = b.build().unwrap();
         let g = GridGraph::build(&d);
         let c = PinCoverage::build(&g, &d);
-        let m = ColorMap::new(d.die(), d.tech().num_layers(), d.tech().dcolor());
+        let m = ColorMap::new(&g, d.tech().dcolor());
         (d, g, c, m)
     }
 
@@ -256,11 +255,9 @@ mod tests {
         let (design, grid, coverage, map) = fixture();
         let _ = MrTplConfig::default();
         let mut buffers = NetBuffers::new(grid.num_vertices());
-        let mut cache = ColorCostCache::new(&grid);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
-        cache.begin_net();
 
         let path: Vec<VertexId> = (0..9).map(|i| grid.vertex(0, i, 0)).collect();
         let vs = arena.make_ver_set(ColorState::all());
@@ -276,7 +273,6 @@ mod tests {
             &coverage,
             &mut arena,
             &buffers,
-            &mut cache,
             &map,
             NetId::new(0),
             std::slice::from_ref(&path),
@@ -294,11 +290,9 @@ mod tests {
     fn mask_change_splits_the_wire_and_keeps_it_continuous() {
         let (design, grid, coverage, map) = fixture();
         let mut buffers = NetBuffers::new(grid.num_vertices());
-        let mut cache = ColorCostCache::new(&grid);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
-        cache.begin_net();
 
         let path: Vec<VertexId> = (0..9).map(|i| grid.vertex(0, i, 0)).collect();
         // First half green, second half red (two segSets = one stitch).
@@ -321,7 +315,6 @@ mod tests {
             &coverage,
             &mut arena,
             &buffers,
-            &mut cache,
             &map,
             NetId::new(0),
             std::slice::from_ref(&path),
@@ -344,11 +337,9 @@ mod tests {
     fn corner_paths_split_at_the_bend() {
         let (design, grid, coverage, map) = fixture();
         let mut buffers = NetBuffers::new(grid.num_vertices());
-        let mut cache = ColorCostCache::new(&grid);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
-        cache.begin_net();
 
         // L-shaped path on layer 0: east 4 steps then north 3 steps.
         let mut path: Vec<VertexId> = (0..5).map(|i| grid.vertex(0, i, 0)).collect();
@@ -365,7 +356,6 @@ mod tests {
             &coverage,
             &mut arena,
             &buffers,
-            &mut cache,
             &map,
             NetId::new(0),
             &[path],
@@ -382,11 +372,9 @@ mod tests {
     fn via_paths_emit_vias_and_segments_on_both_layers() {
         let (design, grid, coverage, map) = fixture();
         let mut buffers = NetBuffers::new(grid.num_vertices());
-        let mut cache = ColorCostCache::new(&grid);
         let mut arena = ColorSetArena::new();
         buffers.begin_net();
         buffers.begin_search();
-        cache.begin_net();
 
         let path = vec![
             grid.vertex(0, 0, 0),
@@ -407,7 +395,6 @@ mod tests {
             &coverage,
             &mut arena,
             &buffers,
-            &mut cache,
             &map,
             NetId::new(0),
             &[path],

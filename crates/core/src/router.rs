@@ -5,9 +5,7 @@ use crate::{
     SearchContext,
 };
 use std::time::Instant;
-use tpl_color::{
-    ColorCostCache, ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask,
-};
+use tpl_color::{ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask};
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
 use tpl_grid::{GridGraph, GridState, Outcome, PinCoverage, RouteBudget, StopReason, VertexId};
 use tpl_par::{par_map_pooled, plan_batches, Region, ScratchPool};
@@ -87,13 +85,9 @@ impl MrTplRouter {
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
         let mut gstate = GridState::new(&grid, design);
-        let mut map = ColorMap::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
+        let mut map = ColorMap::new(&grid, design.tech().dcolor());
         let par = self.config.parallelism;
-        let pool: ScratchPool<(NetBuffers, ColorCostCache)> = ScratchPool::new(par);
+        let pool: ScratchPool<NetBuffers> = ScratchPool::new(par);
 
         let mut solution = RoutingSolution::new(design.nets().len());
         let mut segment_masks: Vec<Vec<Option<Mask>>> = vec![Vec::new(); design.nets().len()];
@@ -178,19 +172,14 @@ impl MrTplRouter {
                     par,
                     &nets,
                     &pool,
-                    || {
-                        (
-                            NetBuffers::new(grid.num_vertices()),
-                            ColorCostCache::new(&grid),
-                        )
-                    },
-                    |(buffers, cache), &net_id| {
+                    || NetBuffers::new(grid.num_vertices()),
+                    |buffers, &net_id| {
                         // Goal direction only during negotiation: see
                         // `NetBuffers::set_goal_directed`.
                         buffers.set_goal_directed(iteration > 0);
                         buffers.arm_budget(remaining, budget);
                         let out = self.route_net(
-                            design, &grid, &coverage, &gstate, buffers, cache, &map, guides, net_id,
+                            design, &grid, &coverage, &gstate, buffers, &map, guides, net_id,
                         );
                         let effort = (
                             buffers.nodes_popped(),
@@ -206,6 +195,7 @@ impl MrTplRouter {
 
                 // Barrier: commit occupancy, colour map and solution in net
                 // order, identically for every worker count.
+                let _commit_span = tpl_trace::span!("core.commit", nets = nets.len());
                 for (
                     net_id,
                     ((colored, vertices, complete), (nodes, pruned, peak, overflow, stop)),
@@ -357,13 +347,16 @@ impl MrTplRouter {
         coverage: &PinCoverage,
         gstate: &GridState,
         buffers: &mut NetBuffers,
-        cache: &mut ColorCostCache,
         map: &ColorMap,
         guides: &RouteGuides,
         net_id: NetId,
     ) -> (ColoredNet, Vec<VertexId>, bool) {
         let _net_span = tpl_trace::span!("core.route_net", net = net_id.index());
         tpl_fault::point!("core.route_net", net_id.index());
+        // The search reads the map's pressure field, which counts every
+        // net's features; it equals this net's "other nets" pressure only
+        // because the net was ripped up before rerouting.
+        debug_assert!(!map.has_live_features(net_id));
         let net = design.net(net_id);
         let in_guide = grid.guide_membership(guides, net_id);
         let ctx = SearchContext {
@@ -378,7 +371,6 @@ impl MrTplRouter {
         };
 
         buffers.begin_net();
-        cache.begin_net();
         let mut arena = ColorSetArena::new();
 
         // The routed tree: vertices plus the colour state they are re-seeded
@@ -410,7 +402,7 @@ impl MrTplRouter {
                 .collect();
 
             let search_span = tpl_trace::span!("core.color_search");
-            let found = search(&ctx, buffers, cache, &sources, &unreached);
+            let found = search(&ctx, buffers, &sources, &unreached);
             drop(search_span);
             match found {
                 Some((dst, pin)) => {
@@ -437,7 +429,7 @@ impl MrTplRouter {
 
         let assign_span = tpl_trace::span!("core.assign");
         let colored = assign_and_emit(
-            grid, design, coverage, &mut arena, buffers, cache, map, net_id, &paths,
+            grid, design, coverage, &mut arena, buffers, map, net_id, &paths,
         );
         drop(assign_span);
         (colored, tree, complete)

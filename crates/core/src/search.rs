@@ -26,7 +26,7 @@
 
 use crate::{MrTplConfig, SearchPolicy};
 use std::time::Instant;
-use tpl_color::{ColorCostCache, ColorMap, ColorState, Mask};
+use tpl_color::{ColorMap, ColorState, Mask};
 use tpl_design::{Design, LayerId, NetId, PinId};
 use tpl_geom::Dir;
 use tpl_grid::{
@@ -374,13 +374,12 @@ impl<'a> SearchContext<'a> {
     /// returns the minimum cost together with the set of masks attaining it.
     pub fn color_step(
         &self,
-        cache: &mut ColorCostCache,
         from_state: ColorState,
         to: VertexId,
         dir: Dir,
         trad: f64,
     ) -> (f64, ColorState) {
-        let pressure = cache.pressure(self.grid, self.map, self.net, to);
+        let pressure = self.map.vertex_pressure(to);
         let mut best = f64::INFINITY;
         let mut best_set = ColorState::none();
         const EPS: f64 = 1e-9;
@@ -413,7 +412,6 @@ impl<'a> SearchContext<'a> {
 pub fn search(
     ctx: &SearchContext<'_>,
     buffers: &mut NetBuffers,
-    cache: &mut ColorCostCache,
     sources: &[(VertexId, ColorState)],
     unreached: &[PinId],
 ) -> Option<(VertexId, PinId)> {
@@ -487,7 +485,7 @@ pub fn search(
             let Some(trad) = ctx.trad_cost(layer, n, dir) else {
                 continue;
             };
-            let (step, new_state) = ctx.color_step(cache, from_state, n, dir, trad);
+            let (step, new_state) = ctx.color_step(from_state, n, dir, trad);
             let nd = d + step;
             if nd < buffers.dist(n) {
                 let was_fresh = buffers.search.is_fresh(n.index());
@@ -540,11 +538,7 @@ mod tests {
         let grid = GridGraph::build(&design);
         let gstate = GridState::new(&grid, &design);
         let coverage = PinCoverage::build(&grid, &design);
-        let map = ColorMap::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
+        let map = ColorMap::new(&grid, design.tech().dcolor());
         Fixture {
             design,
             grid,
@@ -582,12 +576,9 @@ mod tests {
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
-        let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
         let sources = all_sources(&f);
-        let (dst, pin) =
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
+        let (dst, pin) = search(&c, &mut buffers, &sources, &[PinId::new(1)]).expect("path exists");
         assert_eq!(pin, PinId::new(1));
         // On an empty die nothing constrains the colours: the destination
         // keeps all three candidates alive.
@@ -620,12 +611,10 @@ mod tests {
         for goal_directed in [false, true] {
             let mut buffers = NetBuffers::new(f.grid.num_vertices());
             buffers.set_goal_directed(goal_directed);
-            let mut cache = ColorCostCache::new(&f.grid);
             buffers.begin_net();
-            cache.begin_net();
             let sources = all_sources(&f);
-            let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-                .expect("path exists");
+            let (dst, _) =
+                search(&c, &mut buffers, &sources, &[PinId::new(1)]).expect("path exists");
             let d = buffers.dist(dst);
             match reference {
                 None => reference = Some(d),
@@ -646,11 +635,9 @@ mod tests {
         for goal_directed in [false, true] {
             let mut buffers = NetBuffers::new(f.grid.num_vertices());
             buffers.set_goal_directed(goal_directed);
-            let mut cache = ColorCostCache::new(&f.grid);
             buffers.begin_net();
-            cache.begin_net();
             let sources = all_sources(&f);
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
+            search(&c, &mut buffers, &sources, &[PinId::new(1)]).expect("path exists");
             popped.push(buffers.nodes_popped());
         }
         assert!(
@@ -665,25 +652,19 @@ mod tests {
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
-        let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
         let sources = all_sources(&f);
         buffers.arm_budget(10, &RouteBudget::with_max_search_nodes(10));
-        let got = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]);
+        let got = search(&c, &mut buffers, &sources, &[PinId::new(1)]);
         assert_eq!(got, None, "ten pops cannot cross the die");
         assert_eq!(buffers.stop_reason(), Some(StopReason::SearchNodes));
         assert!(buffers.nodes_popped() <= 10);
         // Once stopped, further searches of the net refuse to start.
-        assert_eq!(
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]),
-            None
-        );
+        assert_eq!(search(&c, &mut buffers, &sources, &[PinId::new(1)]), None);
         // Re-arming unbudgeted finds the pin again.
         buffers.begin_net();
-        cache.begin_net();
         buffers.arm_budget(u64::MAX, &RouteBudget::default());
-        assert!(search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).is_some());
+        assert!(search(&c, &mut buffers, &sources, &[PinId::new(1)]).is_some());
         assert_eq!(buffers.stop_reason(), None);
     }
 
@@ -693,9 +674,7 @@ mod tests {
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
-        let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
         let token = CancelToken::new();
         token.cancel();
         let budget = RouteBudget {
@@ -704,10 +683,7 @@ mod tests {
         };
         buffers.arm_budget(u64::MAX, &budget);
         let sources = all_sources(&f);
-        assert_eq!(
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]),
-            None
-        );
+        assert_eq!(search(&c, &mut buffers, &sources, &[PinId::new(1)]), None);
         assert_eq!(buffers.stop_reason(), Some(StopReason::Cancelled));
     }
 
@@ -717,12 +693,9 @@ mod tests {
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
-        let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
         let sources = all_sources(&f);
-        let (dst_a, _) =
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
+        let (dst_a, _) = search(&c, &mut buffers, &sources, &[PinId::new(1)]).expect("path exists");
         let cost_a = buffers.dist(dst_a);
         // Jump every epoch counter to the brink of u32 wrap: the next two
         // begin_search calls cross u32::MAX and restart at 1, which must not
@@ -730,8 +703,7 @@ mod tests {
         buffers.force_epochs(u32::MAX - 1);
         for _ in 0..3 {
             buffers.begin_net();
-            cache.begin_net();
-            let (dst_b, pin) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
+            let (dst_b, pin) = search(&c, &mut buffers, &sources, &[PinId::new(1)])
                 .expect("path exists after wrap");
             assert_eq!(pin, PinId::new(1));
             assert_eq!(dst_b, dst_a);
@@ -766,12 +738,9 @@ mod tests {
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
-        let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
         let sources = all_sources(&f);
-        let (dst, _) =
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
+        let (dst, _) = search(&c, &mut buffers, &sources, &[PinId::new(1)]).expect("path exists");
         // The straight path on layer 0 runs within dcolor of the red wire,
         // so red is no longer among the minimum-cost candidates at the
         // destination.
@@ -788,12 +757,9 @@ mod tests {
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
         let mut buffers = NetBuffers::new(f.grid.num_vertices());
-        let mut cache = ColorCostCache::new(&f.grid);
         buffers.begin_net();
-        cache.begin_net();
         let sources = all_sources(&f);
-        let (dst, _) =
-            search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)]).expect("path exists");
+        let (dst, _) = search(&c, &mut buffers, &sources, &[PinId::new(1)]).expect("path exists");
         assert_eq!(buffers.state(dst).len(), 1);
     }
 
@@ -802,30 +768,25 @@ mod tests {
         let f = fixture();
         let in_guide = DenseBitSet::full(f.grid.num_vertices());
         let c = ctx(&f, &in_guide);
-        let mut cache = ColorCostCache::new(&f.grid);
-        cache.begin_net();
         let v = f.grid.vertex(0, 5, 5);
         let n = f.grid.vertex(0, 6, 5);
         let trad = c.trad_cost(f.grid.layer_of(v), n, Dir::East).unwrap();
         // From a green-only state, staying green is cheapest and red/blue pay
         // the stitch cost on top.
         let (cost_green_state, set) = c.color_step(
-            &mut cache,
             ColorState::from_mask(tpl_color::Mask::Green),
             n,
             Dir::East,
             trad,
         );
         assert_eq!(set.single(), Some(tpl_color::Mask::Green));
-        let (cost_full_state, full_set) =
-            c.color_step(&mut cache, ColorState::all(), n, Dir::East, trad);
+        let (cost_full_state, full_set) = c.color_step(ColorState::all(), n, Dir::East, trad);
         assert_eq!(full_set, ColorState::all());
         assert!((cost_green_state - cost_full_state).abs() < 1e-9);
         // Via steps never pay a stitch cost.
         let above = f.grid.vertex(1, 5, 5);
         let via_trad = c.trad_cost(f.grid.layer_of(v), above, Dir::Up).unwrap();
         let (_, via_set) = c.color_step(
-            &mut cache,
             ColorState::from_mask(tpl_color::Mask::Green),
             above,
             Dir::Up,
@@ -916,11 +877,7 @@ mod tests {
                 }
             }
             let coverage = PinCoverage::build(&grid, &design);
-            let map = ColorMap::new(
-                design.die(),
-                design.tech().num_layers(),
-                design.tech().dcolor(),
-            );
+            let map = ColorMap::new(&grid, design.tech().dcolor());
             let config = MrTplConfig::default();
             let in_guide = DenseBitSet::full(grid.num_vertices());
             let c = SearchContext {
@@ -950,11 +907,9 @@ mod tests {
             for goal_directed in [false, true] {
                 let mut buffers = NetBuffers::new(grid.num_vertices());
                 buffers.set_goal_directed(goal_directed);
-                let mut cache = ColorCostCache::new(&grid);
                 buffers.begin_net();
-                cache.begin_net();
-                let (dst, _) = search(&c, &mut buffers, &mut cache, &sources, &[PinId::new(1)])
-                    .expect("path exists");
+                let (dst, _) =
+                    search(&c, &mut buffers, &sources, &[PinId::new(1)]).expect("path exists");
                 assert!(
                     (buffers.dist(dst) - want).abs() < 1e-9,
                     "seed {seed} goal_directed={goal_directed}: {} != reference {want}",

@@ -4,7 +4,7 @@ use crate::ExpandedGraph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-use tpl_color::{ColorCostCache, ColorMap, ColoredLayout, Feature, Mask};
+use tpl_color::{ColorMap, ColoredLayout, Feature, Mask};
 use tpl_design::{
     Design, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution, ViaInstance,
 };
@@ -179,7 +179,6 @@ struct RunState {
     gstate: GridState,
     map: ColorMap,
     buffers: NodeBuffers,
-    pressure: ColorCostCache,
     solution: RoutingSolution,
     segment_masks: Vec<Vec<Option<Mask>>>,
     net_vertices: Vec<Vec<VertexId>>,
@@ -201,13 +200,8 @@ impl Dac12Router {
         let mut run = RunState {
             expanded: ExpandedGraph::new(&grid),
             gstate: GridState::new(&grid, design),
-            map: ColorMap::new(
-                design.die(),
-                design.tech().num_layers(),
-                design.tech().dcolor(),
-            ),
+            map: ColorMap::new(&grid, design.tech().dcolor()),
             buffers: NodeBuffers::new(grid.num_vertices()),
-            pressure: ColorCostCache::new(&grid),
             solution: RoutingSolution::new(design.nets().len()),
             segment_masks: vec![Vec::new(); design.nets().len()],
             net_vertices: vec![Vec::new(); design.nets().len()],
@@ -325,7 +319,10 @@ impl Dac12Router {
         let _net_span = tpl_trace::span!("dac12.route_net", net = net_id.index());
         let net = design.net(net_id);
         let in_guide = grid.guide_membership(guides, net_id);
-        run.pressure.begin_net();
+        // The searches read the map's pressure field, which counts every
+        // net's features; it equals this net's "other nets" pressure only
+        // because the net was ripped up before rerouting.
+        debug_assert!(!run.map.has_live_features(net_id));
         let before = (
             run.stats.search_nodes,
             run.stats.stale_pops,
@@ -369,10 +366,12 @@ impl Dac12Router {
         tpl_trace::counter!("dac12.stale_pops", run.stats.stale_pops - before.1);
         tpl_trace::counter!("dac12.pruned_planar", run.stats.pruned_planar - before.2);
 
-        // Pin colours: inherit the mask of the touching wire; if that mask
-        // already collides with a coloured neighbour of another net, pick the
-        // least conflicting candidate (same post-processing as Mr.TPL so the
+        // Commit the net's features: its wires, then its pins.  Pin colours:
+        // inherit the mask of the touching wire; if that mask already
+        // collides with a coloured neighbour of another net, pick the least
+        // conflicting candidate (same post-processing as Mr.TPL so the
         // comparison isolates the routing strategy).
+        let _commit_span = tpl_trace::span!("dac12.commit", net = net_id.index());
         let map = &mut run.map;
         for (seg, mask) in routed.segments.iter().zip(masks.iter()) {
             map.insert(Feature::wire(net_id, seg.layer, seg.rect(), *mask));
@@ -442,7 +441,6 @@ impl Dac12Router {
             gstate,
             map,
             buffers,
-            pressure: pressure_cache,
             stats,
             ..
         } = run;
@@ -513,7 +511,7 @@ impl Dac12Router {
                 }
                 trad += cost.history_weight * gstate.history(n);
 
-                let pressure = pressure_cache.pressure(grid, map, net_id, n);
+                let pressure = map.vertex_pressure(n);
                 for next_mask in Mask::ALL {
                     let mut step =
                         trad + self.config.color_conflict_cost * pressure[next_mask.index()] as f64;

@@ -1,4 +1,10 @@
 //! Uniform-bin spatial index.
+//!
+//! [`BinIndex`] answers rectangle-window queries over stored rectangles.
+//! It holds geometry only: per-vertex colour pressure for the grid searches
+//! is kept by `tpl_color::ColorMap` as a field updated on insert and remove,
+//! so the index is queried by conflict detection and pin colouring, not on
+//! the search hot path.
 
 use crate::{Dbu, Rect};
 
@@ -8,13 +14,8 @@ use crate::{Dbu, Rect};
 /// size; each inserted rectangle is registered in every bin it touches.
 /// Queries return candidate ids whose rectangles may intersect a search
 /// window — the caller re-checks exact geometry.  This is the workhorse
-/// behind colour-conflict detection and colour-cost lookups, where the
+/// behind colour-conflict detection and pin-colour pressure, where the
 /// query window is the `Dcolor` halo around a wire.
-///
-/// Every bin carries a *generation*: the index [`version`](Self::version)
-/// at which an insert or remove last touched it.  A value derived from a
-/// query stays valid for as long as [`generation_in`](Self::generation_in)
-/// of its window does not exceed the version it was computed at.
 ///
 /// # Examples
 ///
@@ -32,9 +33,6 @@ pub struct BinIndex {
     nx: usize,
     ny: usize,
     bins: Vec<Vec<(u64, Rect)>>,
-    /// Per bin: the `version` of the last insert or remove that touched it.
-    generations: Vec<u64>,
-    version: u64,
     len: usize,
 }
 
@@ -55,8 +53,6 @@ impl BinIndex {
             nx,
             ny,
             bins: vec![Vec::new(); nx * ny],
-            generations: vec![0; nx * ny],
-            version: 0,
             len: 0,
         }
     }
@@ -79,26 +75,6 @@ impl BinIndex {
         self.region
     }
 
-    /// The number of inserts and removes so far; every bin they touched
-    /// now has this generation or an earlier one.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The newest generation among the bins a query with `window` reads
-    /// (0 when none of them was ever touched).
-    #[inline]
-    pub fn generation_in(&self, window: &Rect) -> u64 {
-        let (bx0, by0, bx1, by1) = self.clamp_bin_range(window);
-        let mut newest = 0;
-        for by in by0..=by1 {
-            let row = &self.generations[by * self.nx + bx0..=by * self.nx + bx1];
-            newest = row.iter().fold(newest, |a, &g| a.max(g));
-        }
-        newest
-    }
-
     fn clamp_bin_range(&self, r: &Rect) -> (usize, usize, usize, usize) {
         let bx0 = ((r.lo.x - self.region.lo.x) / self.bin).max(0) as usize;
         let by0 = ((r.lo.y - self.region.lo.y) / self.bin).max(0) as usize;
@@ -116,11 +92,9 @@ impl BinIndex {
     /// region are clamped to the boundary bins, so nothing is ever lost.
     pub fn insert(&mut self, id: u64, rect: Rect) {
         let (bx0, by0, bx1, by1) = self.clamp_bin_range(&rect);
-        self.version += 1;
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
                 self.bins[by * self.nx + bx].push((id, rect));
-                self.generations[by * self.nx + bx] = self.version;
             }
         }
         self.len += 1;
@@ -131,16 +105,12 @@ impl BinIndex {
     pub fn remove(&mut self, id: u64, rect: Rect) -> bool {
         let (bx0, by0, bx1, by1) = self.clamp_bin_range(&rect);
         let mut removed = false;
-        self.version += 1;
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
                 let bin = &mut self.bins[by * self.nx + bx];
                 let before = bin.len();
                 bin.retain(|(i, r)| !(*i == id && *r == rect));
-                if bin.len() != before {
-                    removed = true;
-                    self.generations[by * self.nx + bx] = self.version;
-                }
+                removed |= bin.len() != before;
             }
         }
         if removed {
@@ -267,27 +237,6 @@ mod tests {
         idx.insert(2, r2);
         let entries = idx.query_entries(&Rect::from_coords(0, 0, 120, 120));
         assert_eq!(entries, vec![(1, r1), (2, r2)]);
-    }
-
-    #[test]
-    fn generations_track_the_bins_a_window_reads() {
-        let mut idx = idx();
-        let left = Rect::from_coords(0, 0, 10, 10);
-        let right = Rect::from_coords(500, 500, 510, 510);
-        assert_eq!(idx.generation_in(&left), 0);
-        idx.insert(1, left);
-        let v = idx.version();
-        assert_eq!(idx.generation_in(&left), v);
-        // A change far away leaves the left window's generation alone.
-        idx.insert(2, right);
-        assert_eq!(idx.generation_in(&left), v);
-        assert_eq!(idx.generation_in(&right), idx.version());
-        idx.remove(1, left);
-        assert_eq!(idx.generation_in(&left), idx.version());
-        // A failed remove bumps the version but touches no bin.
-        let before = idx.generation_in(&left);
-        assert!(!idx.remove(1, left));
-        assert_eq!(idx.generation_in(&left), before);
     }
 
     #[test]

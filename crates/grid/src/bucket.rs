@@ -13,18 +13,22 @@
 //! ascending `(key, id)` order, *unconditionally*.  Three mechanisms make the
 //! order exact rather than merely bucket-approximate:
 //!
-//! * every bucket is itself a small binary min-heap ordered by `(key, id)`,
-//!   so ties and sub-bucket ordering match the global heap;
+//! * every bucket is a plain `Vec` that pushes append to; the first pop from
+//!   a bucket sorts it descending by `(key, id)` and every pop takes the
+//!   back, so ties and sub-bucket ordering match the global heap.  A push
+//!   into the bucket being popped (the *cursor* bucket, once sorted) is an
+//!   ordered insert, which keeps it sorted;
 //! * a push whose bucket lies at or below the pop cursor is clamped into the
 //!   cursor bucket — its key is smaller than every entry in later buckets, so
-//!   the per-bucket heap still pops it in exact global order;
+//!   the cursor bucket's order still pops it in exact global order;
 //! * entries beyond the `span`-bucket window go to an overflow binary heap
 //!   whose keys are all `≥ (window_base + span) << shift`, i.e. strictly
 //!   after every window entry; when the window drains the queue re-bases on
 //!   the overflow minimum and migrates the now-in-range entries.
 //!
 //! So a search on the bucket queue expands vertices in exactly the order a
-//! binary heap over the same keys would; only the constants differ.
+//! binary heap over the same keys would; only the constants differ.  Each
+//! bucket is sorted once instead of paying a heap sift per push and pop.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,45 +36,7 @@ use std::collections::BinaryHeap;
 /// A `(key, id)` entry; smaller keys pop first, ids break ties ascending.
 type Entry = (u64, u32);
 
-#[inline]
-fn heap_push(bucket: &mut Vec<Entry>, entry: Entry) {
-    bucket.push(entry);
-    let mut i = bucket.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if bucket[parent] <= bucket[i] {
-            break;
-        }
-        bucket.swap(parent, i);
-        i = parent;
-    }
-}
-
-#[inline]
-fn heap_pop(bucket: &mut Vec<Entry>) -> Option<Entry> {
-    let last = bucket.len().checked_sub(1)?;
-    bucket.swap(0, last);
-    let top = bucket.pop();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut min = i;
-        if l < bucket.len() && bucket[l] < bucket[min] {
-            min = l;
-        }
-        if r < bucket.len() && bucket[r] < bucket[min] {
-            min = r;
-        }
-        if min == i {
-            break;
-        }
-        bucket.swap(i, min);
-        i = min;
-    }
-    top
-}
-
-/// Windowed Dial queue with per-bucket min-heaps and binary-heap overflow.
+/// Windowed Dial queue with sort-once buckets and binary-heap overflow.
 ///
 /// See the module docs for the exact-order argument.  `shift` sets the key
 /// width of one bucket (`1 << shift` key units) and `span` the number of
@@ -85,6 +51,9 @@ pub struct BucketQueue {
     window_base: u64,
     /// Absolute bucket index the next pop scans from (≥ `window_base`).
     cursor: u64,
+    /// True while the cursor bucket is sorted descending (pops take the
+    /// back); every other bucket is unsorted.
+    cursor_sorted: bool,
     /// Live entries currently stored in `slots`.
     in_window: usize,
     /// Entries whose bucket fell outside the window at push time.
@@ -108,6 +77,7 @@ impl BucketQueue {
             slots: vec![Vec::new(); span],
             window_base: 0,
             cursor: 0,
+            cursor_sorted: false,
             in_window: 0,
             overflow: BinaryHeap::new(),
             primed: false,
@@ -147,6 +117,7 @@ impl BucketQueue {
         self.overflow.clear();
         self.window_base = 0;
         self.cursor = 0;
+        self.cursor_sorted = false;
         self.in_window = 0;
         self.primed = false;
         self.max_len = 0;
@@ -164,14 +135,22 @@ impl BucketQueue {
             self.cursor = bucket;
         }
         // Clamp at the cursor: a key below the cursor bucket is smaller than
-        // every entry in later buckets, so the cursor bucket's heap pops it
+        // every entry in later buckets, so the cursor bucket's order pops it
         // in exact global order anyway.
         let bucket = bucket.max(self.cursor);
+        let entry = (key, id);
         if bucket - self.window_base >= self.span {
-            self.overflow.push(Reverse((key, id)));
+            self.overflow.push(Reverse(entry));
             self.overflow_pushes += 1;
         } else {
-            heap_push(&mut self.slots[(bucket % self.span) as usize], (key, id));
+            let slot = &mut self.slots[(bucket % self.span) as usize];
+            if bucket == self.cursor && self.cursor_sorted {
+                // Descending order: the entry goes after every larger one.
+                let at = slot.partition_point(|e| *e > entry);
+                slot.insert(at, entry);
+            } else {
+                slot.push(entry);
+            }
             self.in_window += 1;
         }
         self.max_len = self.max_len.max(self.len());
@@ -184,8 +163,14 @@ impl BucketQueue {
         }
         while self.slots[(self.cursor % self.span) as usize].is_empty() {
             self.cursor += 1;
+            self.cursor_sorted = false;
         }
-        let entry = heap_pop(&mut self.slots[(self.cursor % self.span) as usize]);
+        let slot = &mut self.slots[(self.cursor % self.span) as usize];
+        if !self.cursor_sorted {
+            slot.sort_unstable_by(|a, b| b.cmp(a));
+            self.cursor_sorted = true;
+        }
+        let entry = slot.pop();
         debug_assert!(entry.is_some());
         self.in_window -= 1;
         entry
@@ -200,6 +185,7 @@ impl BucketQueue {
         let base = min_key >> self.shift;
         self.window_base = base;
         self.cursor = base;
+        self.cursor_sorted = false;
         while let Some(&Reverse((key, _))) = self.overflow.peek() {
             let bucket = key >> self.shift;
             if bucket - base >= self.span {
@@ -208,7 +194,7 @@ impl BucketQueue {
             let Some(Reverse(entry)) = self.overflow.pop() else {
                 unreachable!("peeked entry vanished");
             };
-            heap_push(&mut self.slots[(bucket % self.span) as usize], entry);
+            self.slots[(bucket % self.span) as usize].push(entry);
             self.in_window += 1;
         }
         self.in_window > 0
@@ -275,6 +261,50 @@ mod tests {
         for seed in 1..8 {
             check_equivalence(2, 4, seed, 1500, 1 << 20);
         }
+    }
+
+    #[test]
+    fn pop_order_matches_binary_heap_when_pushes_hit_the_cursor_bucket() {
+        // A*-style: equal-f successors land on or just above the popped key,
+        // so most pushes go into the already-sorted cursor bucket (a bucket
+        // is 64 keys wide, a push at most 15 above the last pop).
+        for seed in 1..8 {
+            check_equivalence(6, 16, seed, 3000, 16);
+        }
+    }
+
+    #[test]
+    fn pushes_right_after_migrate_pop_in_order() {
+        let mut bq = BucketQueue::new(2, 4);
+        let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
+        for (key, id) in [(0, 1), (1001, 3), (1000, 2), (1004, 4), (5000, 6)] {
+            bq.push(key, id);
+            heap.push(Reverse((key, id)));
+        }
+        assert!(bq.overflow_pushes() > 0);
+        assert_eq!(heap.pop(), Some(Reverse((0, 1))));
+        assert_eq!(bq.pop(), Some((0, 1)));
+        // The window is empty: this pop migrates, re-bases on key 1000 and
+        // sorts the new cursor bucket.
+        assert_eq!(heap.pop(), Some(Reverse((1000, 2))));
+        assert_eq!(bq.pop(), Some((1000, 2)));
+        // Into the sorted cursor bucket, below the cursor, in a later window
+        // bucket and beyond the new window.
+        for (key, id) in [
+            (1000, 0),
+            (1001, 1),
+            (999, 5),
+            (1006, 7),
+            (1003, 9),
+            (9000, 8),
+        ] {
+            bq.push(key, id);
+            heap.push(Reverse((key, id)));
+        }
+        while let Some(Reverse(expected)) = heap.pop() {
+            assert_eq!(bq.pop(), Some(expected));
+        }
+        assert_eq!(bq.pop(), None);
     }
 
     #[test]

@@ -158,6 +158,15 @@ fn real_flow_phases_match_between_worker_counts() {
             phases.span(&net_span).map(|s| s.count).unwrap_or(0) > 0,
             "no {net_span} spans in {phases:?}"
         );
+        // Both colour-aware routers trace their colour-map commits, which
+        // update the map's pressure field.
+        if prefix != "drcu" {
+            let commit_span = format!("{prefix}.commit");
+            assert!(
+                phases.span(&commit_span).map(|s| s.count).unwrap_or(0) > 0,
+                "no {commit_span} spans in {phases:?}"
+            );
+        }
         if prefix != "core" {
             for span in [format!("{prefix}.route"), format!("{prefix}.rrr_iteration")] {
                 assert!(phases.span(&span).is_some(), "no {span} span in {phases:?}");

@@ -6,7 +6,7 @@
 //! cargo run --release --example fig3_walkthrough
 //! ```
 
-use mr_tpl::color::{ColorCostCache, ColorMap, ColorState, Feature, Mask};
+use mr_tpl::color::{ColorMap, ColorState, Feature, Mask};
 use mr_tpl::core::{backtrace, search, MrTplConfig, NetBuffers, SearchContext};
 use mr_tpl::design::{DesignBuilder, LayerId, NetId, RouteGuides, Technology};
 use mr_tpl::geom::Rect;
@@ -29,7 +29,7 @@ fn main() {
     let grid = GridGraph::build(&design);
     let gstate = GridState::new(&grid, &design);
     let coverage = PinCoverage::build(&grid, &design);
-    let mut map = ColorMap::new(design.die(), 2, design.tech().dcolor());
+    let mut map = ColorMap::new(&grid, design.tech().dcolor());
 
     // The two pre-coloured neighbour wires of Fig. 3 (mask 2 and mask 3).
     // They run across the middle of the net's bounding box on both routing
@@ -66,10 +66,8 @@ fn main() {
     let _ = &guides;
 
     let mut buffers = NetBuffers::new(grid.num_vertices());
-    let mut cache = ColorCostCache::new(&grid);
     let mut arena = ColorSetArena::new();
     buffers.begin_net();
-    cache.begin_net();
 
     println!("Fig. 3 walkthrough: routing the 4-pin net\n");
     println!("step 0: seed the queue with the vertices covered by pin1, color state 111");
@@ -88,7 +86,7 @@ fn main() {
                 (v, state)
             })
             .collect();
-        let Some((dst, pin)) = search(&ctx, &mut buffers, &mut cache, &sources, &unreached) else {
+        let Some((dst, pin)) = search(&ctx, &mut buffers, &sources, &unreached) else {
             println!("  no path found — layout infeasible");
             break;
         };
