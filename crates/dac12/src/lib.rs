@@ -17,7 +17,11 @@
 //!
 //! The cost model (traditional cost, colour-conflict pressure, stitch cost)
 //! and the rip-up-and-reroute loop are shared with Mr.TPL so the comparison
-//! isolates the colour-handling strategy.
+//! isolates the colour-handling strategy.  The search is as optimised as the
+//! other routers': goal-directed A\* with the shared `tpl_grid::GoalBound`,
+//! which still returns exactly the path a plain Dijkstra would, and it
+//! honours a `tpl_grid::RouteBudget`
+//! ([`Dac12Router::route_with_budget`]).
 //!
 //! # Examples
 //!

@@ -6,10 +6,14 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 use tpl_color::{ColorMap, ColoredLayout, Feature, Mask};
 use tpl_design::{
-    Design, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution, ViaInstance,
+    Design, LayerId, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution,
+    ViaInstance,
 };
 use tpl_geom::{Dir, Segment};
-use tpl_grid::{CostParams, DenseBitSet, EpochStamps, GridGraph, GridState, PinCoverage, VertexId};
+use tpl_grid::{
+    CostParams, DenseBitSet, EpochStamps, GoalBound, GridGraph, GridState, Outcome, PinCoverage,
+    RouteBudget, StopReason, VertexId,
+};
 
 /// Configuration of the DAC'12 baseline router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -51,7 +55,9 @@ pub struct Dac12Stats {
     pub failed_nets: usize,
     /// Number of 2-pin connections routed (MST edges over all nets).
     pub two_pin_connections: usize,
-    /// Expanded (non-stale) frontier pops over all 2-pin searches.
+    /// Non-stale frontier pops over all 2-pin searches: expanded nodes
+    /// plus every target pop, including those of the drain past the first
+    /// target.  A search-node budget caps this count.
     pub search_nodes: usize,
     /// Frontier pops discarded because their node had improved since.
     pub stale_pops: usize,
@@ -59,6 +65,9 @@ pub struct Dac12Stats {
     pub pruned_planar: usize,
     /// Wall-clock routing time in seconds.
     pub runtime_seconds: f64,
+    /// How the run ended: `Complete` without a budget, `Degraded` after a
+    /// search-node budget trip, `Aborted` on deadline or cancellation.
+    pub outcome: Outcome,
 }
 
 /// The outcome of a DAC'12 baseline run.
@@ -83,22 +92,34 @@ pub struct Dac12Router {
 const SLOTS: usize = ExpandedGraph::SLOTS;
 const MASKS: usize = Mask::ALL.len();
 
+/// Search keys per cost unit.
+const KEY_RESOLUTION: f64 = 256.0;
+
+/// Quantises a cost to its search key.
+#[inline]
+fn key(cost: f64) -> u64 {
+    (cost * KEY_RESOLUTION) as u64
+}
+
+/// A limited budget's deadline and cancel token are probed whenever the
+/// run's search-node count is a multiple of this mask plus one.
+const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
+
 /// Search buffers over the expanded node space.
 ///
 /// One epoch stamp guards a whole grid vertex: its [`SLOTS`] node distances
-/// and predecessors and its per-mask dominance distances are reset together
-/// the first time a search reaches the vertex.
+/// and its per-mask dominance distances are reset together the first time
+/// a search reaches the vertex.
 struct NodeBuffers {
     stamps: EpochStamps,
     dist: Vec<f64>,
-    /// The move that reached each node, packed by [`pack_move`]
-    /// ([`NO_MOVE`] at a source): a byte instead of a node id.
-    came_by: Vec<u8>,
     /// Per `(vertex, mask)`: the least distance at which any direction
     /// class of it had its planar moves relaxed in this search.
     planar_done: Vec<f64>,
     /// Goal vertices of the current search.
     target: EpochStamps,
+    /// Target nodes the current search popped, in pop order.
+    popped_targets: Vec<usize>,
     /// Frontier entries `(key << 64) | node`: the `u128` order is exactly
     /// the `(key, node)` order, decided by one comparison.
     heap: BinaryHeap<Reverse<u128>>,
@@ -112,9 +133,9 @@ impl NodeBuffers {
         Self {
             stamps: EpochStamps::new(num_vertices),
             dist: vec![0.0; num_vertices * SLOTS],
-            came_by: vec![0; num_vertices * SLOTS],
             planar_done: vec![0.0; num_vertices * MASKS],
             target: EpochStamps::new(num_vertices),
+            popped_targets: Vec::new(),
             heap: BinaryHeap::new(),
         }
     }
@@ -122,6 +143,7 @@ impl NodeBuffers {
     fn begin(&mut self) {
         self.stamps.begin();
         self.target.begin();
+        self.popped_targets.clear();
         self.heap.clear();
     }
 
@@ -135,42 +157,65 @@ impl NodeBuffers {
     }
 
     #[inline]
-    fn relax(&mut self, n: usize, d: f64, came_by: u8) {
+    fn relax(&mut self, n: usize, d: f64) {
         let v = n / SLOTS;
         if !self.stamps.is_fresh(v) {
             self.stamps.touch(v);
             self.dist[v * SLOTS..(v + 1) * SLOTS].fill(f64::INFINITY);
-            self.came_by[v * SLOTS..(v + 1) * SLOTS].fill(NO_MOVE);
             self.planar_done[v * MASKS..(v + 1) * MASKS].fill(f64::INFINITY);
         }
         self.dist[n] = d;
-        self.came_by[n] = came_by;
-    }
-
-    /// The predecessor of node `n`: reverse the move that reached it.
-    fn prev(&self, grid: &GridGraph, expanded: &ExpandedGraph, n: usize) -> Option<usize> {
-        let code = self.came_by[n];
-        if !self.stamps.is_fresh(n / SLOTS) || code == NO_MOVE {
-            return None;
-        }
-        let (v, _, _) = expanded.unpack(n);
-        let dir = Dir::ALL[usize::from(code >> 4)];
-        let from = grid
-            .neighbor(v, dir.opposite())
-            .expect("a relaxed node's predecessor is on the grid");
-        let (mask, class) = (usize::from(code >> 2 & 3), usize::from(code & 3));
-        Some(expanded.node(from, Mask::from_index(mask), class))
     }
 }
 
-/// [`NodeBuffers::came_by`] of a source node.
-const NO_MOVE: u8 = u8::MAX;
+/// The read-only inputs that price the steps of one net's searches.
+struct Prices<'a> {
+    design: &'a Design,
+    grid: &'a GridGraph,
+    coverage: &'a PinCoverage,
+    gstate: &'a GridState,
+    in_guide: &'a DenseBitSet,
+    config: &'a Dac12Config,
+    net: NetId,
+}
 
-/// Packs a move in direction `dir` out of the node with `mask` and
-/// direction class `class`.
-#[inline]
-fn pack_move(dir: Dir, mask: Mask, class: usize) -> u8 {
-    (dir as u8) << 4 | (mask.index() as u8) << 2 | class as u8
+impl Prices<'_> {
+    /// The colour-free price of a move in `dir` from a vertex on `layer`
+    /// onto `to`, or `None` when `to` is blocked.
+    #[inline]
+    fn trad(&self, layer: LayerId, dir: Dir, to: VertexId) -> Option<f64> {
+        if self.gstate.is_blocked(to) {
+            return None;
+        }
+        let cost = &self.config.cost;
+        let pitch = self.grid.pitch();
+        let mut trad = cost.move_cost(dir, layer, self.grid.layer_axis(layer), pitch);
+        if !self.in_guide.get(to.index()) {
+            trad += cost.out_of_guide * pitch as f64;
+        }
+        if self.gstate.is_occupied_by_other(to, self.net) {
+            trad += cost.occupied;
+        }
+        if let Some(pin) = self.coverage.pin_at(to) {
+            if self.design.pin(pin).net() != self.net {
+                trad += cost.occupied;
+            }
+        }
+        trad += cost.history_weight * self.gstate.history(to);
+        Some(trad)
+    }
+
+    /// The full price of a step with colour-free price `trad` onto a mask
+    /// under `pressure` same-mask neighbours, plus a stitch if it changes
+    /// mask along a planar move.
+    #[inline]
+    fn step(&self, trad: f64, pressure: u16, stitch: bool) -> f64 {
+        let mut step = trad + self.config.color_conflict_cost * pressure as f64;
+        if stitch {
+            step += self.config.stitch_cost;
+        }
+        step
+    }
 }
 
 /// Mutable state shared by every net of one run.
@@ -183,6 +228,35 @@ struct RunState {
     segment_masks: Vec<Vec<Option<Mask>>>,
     net_vertices: Vec<Vec<VertexId>>,
     stats: Dac12Stats,
+    budget: RouteBudget,
+    /// Why the run stopped early, once a budget limit was hit.
+    stop: Option<StopReason>,
+}
+
+impl RunState {
+    fn new(design: &Design, grid: &GridGraph, budget: &RouteBudget) -> Self {
+        Self {
+            expanded: ExpandedGraph::new(grid),
+            gstate: GridState::new(grid, design),
+            map: ColorMap::new(grid, design.tech().dcolor()),
+            buffers: NodeBuffers::new(grid.num_vertices()),
+            solution: RoutingSolution::new(design.nets().len()),
+            segment_masks: vec![Vec::new(); design.nets().len()],
+            net_vertices: vec![Vec::new(); design.nets().len()],
+            stats: Dac12Stats::default(),
+            budget: budget.clone(),
+            stop: None,
+        }
+    }
+
+    /// The budget check between nets: the search-node cap, then the
+    /// deadline and cancel token.
+    fn budget_stop(&self) -> Option<StopReason> {
+        if self.budget.remaining_nodes(self.stats.search_nodes as u64) == 0 {
+            return Some(StopReason::SearchNodes);
+        }
+        self.budget.interrupted()
+    }
 }
 
 impl Dac12Router {
@@ -193,20 +267,31 @@ impl Dac12Router {
 
     /// Routes and colours every net of the design inside the given guides.
     pub fn route(&self, design: &Design, guides: &RouteGuides) -> Dac12Result {
+        self.route_with_budget(design, guides, &RouteBudget::default())
+    }
+
+    /// Like [`route`](Dac12Router::route), under a [`RouteBudget`].
+    ///
+    /// Nets route one at a time, so the search-node count is charged per
+    /// frontier pop and where the cap trips is a pure function of the
+    /// input.  The cap is checked before each net and on every pop; a
+    /// limited budget's deadline and cancel token are checked before each
+    /// net and every few thousand pops.  On a stop the router keeps every
+    /// committed route, including the stopped net's finished connections,
+    /// and returns with `stats.outcome` [`Outcome::Degraded`] (node cap) or
+    /// [`Outcome::Aborted`] (deadline, cancellation).  The stopped net and
+    /// the queued nets left without a route count in `stats.failed_nets`.
+    pub fn route_with_budget(
+        &self,
+        design: &Design,
+        guides: &RouteGuides,
+        budget: &RouteBudget,
+    ) -> Dac12Result {
         let _route_span = tpl_trace::span!("dac12.route", nets = design.nets().len());
         let start = Instant::now();
         let grid = GridGraph::build(design);
         let coverage = PinCoverage::build(&grid, design);
-        let mut run = RunState {
-            expanded: ExpandedGraph::new(&grid),
-            gstate: GridState::new(&grid, design),
-            map: ColorMap::new(&grid, design.tech().dcolor()),
-            buffers: NodeBuffers::new(grid.num_vertices()),
-            solution: RoutingSolution::new(design.nets().len()),
-            segment_masks: vec![Vec::new(); design.nets().len()],
-            net_vertices: vec![Vec::new(); design.nets().len()],
-            stats: Dac12Stats::default(),
-        };
+        let mut run = RunState::new(design, &grid, budget);
 
         let mut order: Vec<NetId> = design.nets().iter().map(|n| n.id()).collect();
         order.sort_by_key(|id| {
@@ -220,11 +305,23 @@ impl Dac12Router {
         });
 
         let mut to_route: Vec<NetId> = order.clone();
-        for iteration in 0..=self.config.max_rrr_iterations {
+        'rrr: for iteration in 0..=self.config.max_rrr_iterations {
             let _iter_span = tpl_trace::span!("dac12.rrr_iteration", iteration = iteration);
             run.stats.rrr_iterations = iteration;
             run.stats.failed_nets = 0;
-            for &net_id in &to_route {
+            for (i, &net_id) in to_route.iter().enumerate() {
+                if run.stop.is_none() {
+                    run.stop = run.budget_stop();
+                }
+                if run.stop.is_some() {
+                    // Nets not reached in this iteration keep the route of
+                    // the previous one, if they have one.
+                    run.stats.failed_nets += to_route[i..]
+                        .iter()
+                        .filter(|id| run.solution.get(**id).is_none())
+                        .count();
+                    break 'rrr;
+                }
                 let vertices = std::mem::take(&mut run.net_vertices[net_id.index()]);
                 run.gstate.release_vertices(&vertices, net_id);
                 run.map.remove_net(net_id);
@@ -234,6 +331,9 @@ impl Dac12Router {
                 if !self.route_net(design, &grid, &coverage, &mut run, guides, net_id) {
                     run.stats.failed_nets += 1;
                 }
+            }
+            if run.stop.is_some() {
+                break;
             }
 
             let detect_span = tpl_trace::span!("dac12.conflict_detect");
@@ -285,6 +385,7 @@ impl Dac12Router {
         stats.conflicts = layout_stats.conflicts;
         stats.stitches = layout_stats.stitches;
         stats.runtime_seconds = start.elapsed().as_secs_f64();
+        stats.outcome = run.stop.map_or(Outcome::Complete, Outcome::from_stop);
 
         Dac12Result {
             solution: run.solution,
@@ -359,6 +460,9 @@ impl Dac12Router {
                 }
                 None => {
                     complete = false;
+                    if run.stop.is_some() {
+                        break;
+                    }
                 }
             }
         }
@@ -410,9 +514,31 @@ impl Dac12Router {
         complete
     }
 
-    /// Dijkstra over the expanded (vertex, mask, direction) graph from one
-    /// pin to another.  Returns the path as `(vertex, mask)` pairs from
-    /// source to destination.
+    /// The least-cost path over the expanded (vertex, mask, direction)
+    /// graph from one pin to another, as `(vertex, mask)` pairs from source
+    /// to destination.  `None` when no path exists or the budget stopped
+    /// the search (then `run.stop` says why).
+    ///
+    /// The search is goal-directed, yet it returns exactly the target and
+    /// path of a plain Dijkstra over `(key(dist), node)` that stops at its
+    /// first target and walks back the move that first reached each node
+    /// at its final distance.  The rules and the argument are those of the
+    /// `tpl-drcu` maze:
+    ///
+    /// 1. **Bound.**  The frontier is ordered by `key(d + h)`, with `h` the
+    ///    [`GoalBound`] to the target pin at `alpha = 1`: admissible and
+    ///    consistent, because the colour, stitch, guide, occupancy and
+    ///    history terms are all `>= 0`.
+    /// 2. **Drain.**  With `g` the least key of any target popped so far,
+    ///    the search pops through `g + 1`.  Targets are never expanded.  It
+    ///    returns the popped target with the least `(key(dist), node)`.
+    /// 3. **Canonical backtrace.**  Each step back goes to the optimal
+    ///    predecessor with the least `(key(dist), node)`, priced with the
+    ///    forward pass's f64 operations (see [`Self::predecessor`]).
+    ///
+    /// Precondition: every step costs at least one key quantum, so that
+    /// Dijkstra expands every node once, at its final distance, in
+    /// `(key(dist), node)` order.
     ///
     /// **Dominance pruning.**  A planar move's successor node and step cost
     /// depend on the vertex, the mask and the direction moved, never on the
@@ -423,7 +549,12 @@ impl Dac12Router {
     /// `d' + step`; under the strict `<` relax every one of those
     /// relaxations is a no-op, and the search skips them.  Via moves keep
     /// the incoming class and are always relaxed, and the goal test runs
-    /// first, so the result is identical to the unpruned search.
+    /// first.  Skipping no-ops leaves every distance and frontier entry as
+    /// they are, in this search and in the reference Dijkstra alike.  The
+    /// backtrace also never picks a sibling that Dijkstra pruned: that
+    /// sibling's earlier-popped twin, with a smaller `(key, node)`, reaches
+    /// the node at the same distance.  Siblings share `h`, so neither rule
+    /// depends on which of them the bound orders first.
     #[allow(clippy::too_many_arguments)]
     fn route_two_pin(
         &self,
@@ -442,42 +573,67 @@ impl Dac12Router {
             map,
             buffers,
             stats,
+            budget,
+            stop,
             ..
         } = run;
+        let prices = Prices {
+            design,
+            grid,
+            coverage,
+            gstate,
+            in_guide,
+            config: &self.config,
+            net: net_id,
+        };
+        let bound = GoalBound::build(grid, coverage, &self.config.cost, 1.0, &[to])?;
+        let node_cap = budget.max_search_nodes.unwrap_or(u64::MAX);
+        let probe = !budget.is_unlimited();
         buffers.begin();
-        let key = |c: f64| (c * 256.0) as u64;
         let mut heap = std::mem::take(&mut buffers.heap);
 
         for &v in coverage.vertices(from) {
             if gstate.is_blocked(v) {
                 continue;
             }
+            let k = key(bound.h(grid, v)) as u128;
             for mask in Mask::ALL {
                 let n = expanded.node(v, mask, 0);
-                buffers.relax(n, 0.0, NO_MOVE);
-                heap.push(Reverse(n as u128));
+                buffers.relax(n, 0.0);
+                heap.push(Reverse(k << 64 | n as u128));
             }
         }
         for &v in coverage.vertices(to) {
             buffers.target.touch(v.index());
         }
 
-        let cost = &self.config.cost;
-        let out_of_guide = cost.out_of_guide * grid.pitch() as f64;
-
-        let mut goal: Option<usize> = None;
+        let mut goal_key: Option<u64> = None;
         while let Some(Reverse(entry)) = heap.pop() {
             let (k, node) = ((entry >> 64) as u64, entry as u64 as usize);
+            if goal_key.is_some_and(|g| k > g + 1) {
+                break; // drained one quantum past the best popped target
+            }
             let d = buffers.dist(node);
-            if key(d) < k {
+            let (v, mask, dir_class) = expanded.unpack(node);
+            if key(d + bound.h(grid, v)) < k {
                 stats.stale_pops += 1;
                 continue;
             }
-            stats.search_nodes += 1;
-            let (v, mask, dir_class) = expanded.unpack(node);
-            if buffers.target.is_fresh(v.index()) {
-                goal = Some(node);
+            if stats.search_nodes as u64 >= node_cap {
+                *stop = Some(StopReason::SearchNodes);
                 break;
+            }
+            if probe && stats.search_nodes & INTERRUPT_PROBE_MASK == 0 {
+                if let Some(reason) = budget.interrupted() {
+                    *stop = Some(reason);
+                    break;
+                }
+            }
+            stats.search_nodes += 1;
+            if buffers.target.is_fresh(v.index()) {
+                goal_key = Some(goal_key.map_or(k, |g| g.min(k)));
+                buffers.popped_targets.push(node);
+                continue;
             }
             let done = &mut buffers.planar_done[v.index() * MASKS + mask.index()];
             let planar = d < *done;
@@ -487,61 +643,106 @@ impl Dac12Router {
                 stats.pruned_planar += 1;
             }
             let layer = grid.layer_of(v);
-            let axis = grid.layer_axis(layer);
             for (dir, n) in grid.neighbors(v) {
                 let next_class = match dir.axis() {
                     Some(_) if !planar => continue,
                     Some(_) => ExpandedGraph::dir_class(dir),
                     None => dir_class,
                 };
-                if gstate.is_blocked(n) {
+                let Some(trad) = prices.trad(layer, dir, n) else {
                     continue;
-                }
-                let mut trad = cost.move_cost(dir, layer, axis, grid.pitch());
-                if !in_guide.get(n.index()) {
-                    trad += out_of_guide;
-                }
-                if gstate.is_occupied_by_other(n, net_id) {
-                    trad += cost.occupied;
-                }
-                if let Some(pin) = coverage.pin_at(n) {
-                    if design.pin(pin).net() != net_id {
-                        trad += cost.occupied;
-                    }
-                }
-                trad += cost.history_weight * gstate.history(n);
-
+                };
                 let pressure = map.vertex_pressure(n);
+                let h = bound.h(grid, n);
                 for next_mask in Mask::ALL {
-                    let mut step =
-                        trad + self.config.color_conflict_cost * pressure[next_mask.index()] as f64;
-                    if dir.is_planar() && next_mask != mask {
-                        step += self.config.stitch_cost;
-                    }
+                    let step = prices.step(
+                        trad,
+                        pressure[next_mask.index()],
+                        dir.is_planar() && next_mask != mask,
+                    );
                     let nn = expanded.node(n, next_mask, next_class);
                     let nd = d + step;
                     if nd < buffers.dist(nn) {
-                        buffers.relax(nn, nd, pack_move(dir, mask, dir_class));
-                        heap.push(Reverse((key(nd) as u128) << 64 | nn as u128));
+                        buffers.relax(nn, nd);
+                        heap.push(Reverse((key(nd + h) as u128) << 64 | nn as u128));
                     }
                 }
             }
         }
         buffers.heap = heap;
+        if stop.is_some() {
+            return None;
+        }
 
-        let goal = goal?;
+        let goal = buffers
+            .popped_targets
+            .iter()
+            .copied()
+            .min_by_key(|&t| (key(buffers.dist(t)), t))?;
         let mut path = Vec::new();
         let mut cur = goal;
         loop {
             let (v, mask, _) = expanded.unpack(cur);
             path.push((v, mask));
-            match buffers.prev(grid, expanded, cur) {
-                Some(p) => cur = p,
-                None => break,
+            if buffers.dist(cur) == 0.0 {
+                break; // a source
             }
+            cur = Self::predecessor(&prices, expanded, map, buffers, cur);
         }
         path.reverse();
         Some(path)
+    }
+
+    /// The node Dijkstra reached non-source node `cur` from: among the
+    /// nodes `u` with `dist(u) + step(u → cur) == dist(cur)`, computed with
+    /// the forward pass's f64 operations, the one with the least
+    /// `(key(dist(u)), u)`.  Under the key-quantum precondition that is the
+    /// first node Dijkstra expanded that offered `dist(cur)`, the one that
+    /// made the strict relaxation.
+    ///
+    /// A node of class `c` entered by a planar move came from the
+    /// neighbour against the move of class `c`, with any mask and class.
+    /// One entered by a via came from the vertex across it, with any mask
+    /// and the same class `c`.  Target vertices are skipped: neither search
+    /// expands them, and none lies closer than the returned target.
+    fn predecessor(
+        prices: &Prices<'_>,
+        expanded: &ExpandedGraph,
+        map: &ColorMap,
+        buffers: &NodeBuffers,
+        cur: usize,
+    ) -> usize {
+        let grid = prices.grid;
+        let (v, mask, class) = expanded.unpack(cur);
+        let d = buffers.dist(cur);
+        let pressure = map.vertex_pressure(v)[mask.index()];
+        let mut best: Option<(u64, usize)> = None;
+        for (back, u) in grid.neighbors(v) {
+            let dir = back.opposite();
+            let classes = match dir.axis() {
+                Some(_) if ExpandedGraph::dir_class(dir) != class => continue,
+                Some(_) => 0..4,
+                None => class..class + 1,
+            };
+            if buffers.target.is_fresh(u.index()) {
+                continue;
+            }
+            let Some(trad) = prices.trad(grid.layer_of(u), dir, v) else {
+                continue;
+            };
+            for from_mask in Mask::ALL {
+                let step = prices.step(trad, pressure, dir.is_planar() && from_mask != mask);
+                for c in classes.clone() {
+                    let un = expanded.node(u, from_mask, c);
+                    let du = buffers.dist(un);
+                    let cand = (key(du), un);
+                    if du + step == d && best.is_none_or(|b| cand < b) {
+                        best = Some(cand);
+                    }
+                }
+            }
+        }
+        best.expect("a settled node has an optimal predecessor").1
     }
 }
 
@@ -731,6 +932,91 @@ mod tests {
         assert!(s.pruned_planar > 0 && s.pruned_planar < s.search_nodes);
     }
 
+    /// Stats of a run with the wall clock zeroed, for comparing runs.
+    fn timeless(result: &Dac12Result) -> Dac12Stats {
+        Dac12Stats {
+            runtime_seconds: 0.0,
+            ..result.stats.clone()
+        }
+    }
+
+    #[test]
+    fn unbudgeted_runs_report_complete() {
+        let (design, guides) = small_case(0.25);
+        let router = Dac12Router::new(Dac12Config::default());
+        let plain = router.route(&design, &guides);
+        let limited = router.route_with_budget(
+            &design,
+            &guides,
+            &RouteBudget::with_max_search_nodes(u64::MAX),
+        );
+        assert_eq!(plain.stats.outcome, Outcome::Complete);
+        assert_eq!(timeless(&plain), timeless(&limited));
+        assert!(plain.solution.iter().eq(limited.solution.iter()));
+    }
+
+    #[test]
+    fn a_node_budget_degrades_deterministically() {
+        let (design, guides) = small_case(0.25);
+        let router = Dac12Router::new(Dac12Config::default());
+        let full = router.route(&design, &guides).stats;
+        let cap = full.search_nodes as u64 / 2;
+        let budget = RouteBudget::with_max_search_nodes(cap);
+        let a = router.route_with_budget(&design, &guides, &budget);
+        let b = router.route_with_budget(&design, &guides, &budget);
+        assert_eq!(a.stats.outcome, Outcome::Degraded(StopReason::SearchNodes));
+        assert_eq!(a.stats.search_nodes as u64, cap);
+        assert!(a.stats.failed_nets > 0);
+        assert_eq!(timeless(&a), timeless(&b));
+        assert!(a.solution.iter().eq(b.solution.iter()));
+        // Every committed connection is a whole path: the routed part of
+        // a stopped net is still made of coloured segments.
+        for (net_id, routed) in a.solution.iter() {
+            assert_eq!(a.segment_masks[net_id.index()].len(), routed.segments.len());
+        }
+    }
+
+    #[test]
+    fn a_zero_budget_routes_nothing() {
+        let (design, guides) = small_case(0.25);
+        let result = Dac12Router::new(Dac12Config::default()).route_with_budget(
+            &design,
+            &guides,
+            &RouteBudget::with_max_search_nodes(0),
+        );
+        assert_eq!(
+            result.stats.outcome,
+            Outcome::Degraded(StopReason::SearchNodes)
+        );
+        assert_eq!(result.stats.search_nodes, 0);
+        assert_eq!(result.stats.failed_nets, design.nets().len());
+        assert_eq!(result.solution.routed_count(), 0);
+    }
+
+    #[test]
+    fn cancellation_and_a_passed_deadline_abort() {
+        let (design, guides) = small_case(0.25);
+        let router = Dac12Router::new(Dac12Config::default());
+        let token = tpl_grid::CancelToken::new();
+        token.cancel();
+        let cancelled = RouteBudget {
+            cancel: Some(token),
+            ..RouteBudget::default()
+        };
+        let passed = RouteBudget {
+            deadline: Some(Instant::now()),
+            ..RouteBudget::default()
+        };
+        for (budget, reason) in [
+            (cancelled, StopReason::Cancelled),
+            (passed, StopReason::Deadline),
+        ] {
+            let result = router.route_with_budget(&design, &guides, &budget);
+            assert_eq!(result.stats.outcome, Outcome::Aborted(reason));
+            assert_eq!(result.stats.search_nodes, 0);
+        }
+    }
+
     #[test]
     fn mst_spans_all_pins() {
         let pts = vec![
@@ -754,5 +1040,447 @@ mod tests {
                 assert!(ColorState::from_mask(*m).len() == 1);
             }
         }
+    }
+}
+
+/// The goal-directed search against the plain Dijkstra it replaced.
+#[cfg(test)]
+mod reference_dijkstra {
+    use super::*;
+    use tpl_design::{DesignBuilder, Technology};
+    use tpl_geom::{Axis, Rect};
+
+    /// The plain Dijkstra and predecessor walk `route_two_pin` replaced:
+    /// frontier order `(key(dist), node)`, dominance pruning, stop at the
+    /// first popped target, and each node's predecessor the node whose
+    /// strict relaxation last improved it.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_route(
+        router: &Dac12Router,
+        design: &Design,
+        grid: &GridGraph,
+        coverage: &PinCoverage,
+        run: &RunState,
+        in_guide: &DenseBitSet,
+        net: NetId,
+        from: PinId,
+        to: PinId,
+    ) -> Option<Vec<(VertexId, Mask)>> {
+        let prices = Prices {
+            design,
+            grid,
+            coverage,
+            gstate: &run.gstate,
+            in_guide,
+            config: &router.config,
+            net,
+        };
+        let expanded = &run.expanded;
+        let mut dist = vec![f64::INFINITY; expanded.num_nodes()];
+        let mut prev = vec![usize::MAX; expanded.num_nodes()];
+        let mut planar_done = vec![f64::INFINITY; grid.num_vertices() * MASKS];
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        for &v in coverage.vertices(from) {
+            if run.gstate.is_blocked(v) {
+                continue;
+            }
+            for mask in Mask::ALL {
+                let n = expanded.node(v, mask, 0);
+                dist[n] = 0.0;
+                heap.push(Reverse((0, n)));
+            }
+        }
+        while let Some(Reverse((k, node))) = heap.pop() {
+            let d = dist[node];
+            if key(d) < k {
+                continue; // stale entry
+            }
+            let (v, mask, dir_class) = expanded.unpack(node);
+            if coverage.vertices(to).contains(&v) {
+                let mut path = Vec::new();
+                let mut cur = node;
+                loop {
+                    let (v, mask, _) = expanded.unpack(cur);
+                    path.push((v, mask));
+                    if prev[cur] == usize::MAX {
+                        break;
+                    }
+                    cur = prev[cur];
+                }
+                path.reverse();
+                return Some(path);
+            }
+            let done = &mut planar_done[v.index() * MASKS + mask.index()];
+            let planar = d < *done;
+            if planar {
+                *done = d;
+            }
+            let layer = grid.layer_of(v);
+            for (dir, n) in grid.neighbors(v) {
+                let next_class = match dir.axis() {
+                    Some(_) if !planar => continue,
+                    Some(_) => ExpandedGraph::dir_class(dir),
+                    None => dir_class,
+                };
+                let Some(trad) = prices.trad(layer, dir, n) else {
+                    continue;
+                };
+                let pressure = run.map.vertex_pressure(n);
+                for next_mask in Mask::ALL {
+                    let step = prices.step(
+                        trad,
+                        pressure[next_mask.index()],
+                        dir.is_planar() && next_mask != mask,
+                    );
+                    let nn = expanded.node(n, next_mask, next_class);
+                    let nd = d + step;
+                    if nd < dist[nn] {
+                        dist[nn] = nd;
+                        prev[nn] = node;
+                        heap.push(Reverse((key(nd), nn)));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    /// What a random instance puts on the grid besides the routed net 0.
+    #[derive(Clone, Copy, Default)]
+    struct Mix {
+        /// Pins of net 0 (at least 2).
+        pins: usize,
+        /// Random obstacle rectangles.
+        obstacles: usize,
+        /// Vertices occupied by net 1, per mille.
+        occupied_per_mille: u64,
+        /// Pins of net 1, which net 0 pays to cross.
+        foreign_pins: usize,
+        /// Live masked wires of net 1 in the colour map, which give nearby
+        /// vertices colour pressure.
+        colored_wires: usize,
+        /// Fractional history on an eighth of the vertices, weighted by a
+        /// fractional `history_weight`: small enough that many distinct
+        /// distances share a key with the integer costs of history-free
+        /// paths.
+        history: bool,
+    }
+
+    struct Instance {
+        design: Design,
+        grid: GridGraph,
+        coverage: PinCoverage,
+        in_guide: DenseBitSet,
+        router: Dac12Router,
+        run: RunState,
+    }
+
+    fn random_instance(seed: u64, mix: Mix) -> Instance {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut r = move |m: u64| xorshift(&mut s) % m;
+        let mut b = DesignBuilder::new(
+            "rand",
+            Technology::ispd_like(4),
+            Rect::from_coords(0, 0, 400, 400),
+        );
+        let pin = |b: &mut DesignBuilder, name: String, r: &mut dyn FnMut(u64) -> u64| {
+            let (x, y) = (6 + r(360) as i64, 6 + r(360) as i64);
+            let (w, h) = (8 + r(48) as i64, 8 + r(48) as i64);
+            b.add_pin_shape(name, r(2) as u32, Rect::from_coords(x, y, x + w, y + h))
+        };
+        let pins: Vec<PinId> = (0..mix.pins)
+            .map(|i| pin(&mut b, format!("p{i}"), &mut r))
+            .collect();
+        b.add_net("n0", pins);
+        if mix.foreign_pins > 0 {
+            let foreign: Vec<PinId> = (0..mix.foreign_pins)
+                .map(|i| pin(&mut b, format!("f{i}"), &mut r))
+                .collect();
+            b.add_net("n1", foreign);
+        }
+        for _ in 0..mix.obstacles {
+            let (x, y) = (r(380) as i64, r(380) as i64);
+            let (w, h) = (10 + r(120) as i64, 10 + r(40) as i64);
+            let (w, h) = if r(2) == 0 { (w, h) } else { (h, w) };
+            b.add_obstacle(r(4) as u32, Rect::from_coords(x, y, x + w, y + h));
+        }
+        let design = b.build().unwrap();
+        let grid = GridGraph::build(&design);
+        let coverage = PinCoverage::build(&grid, &design);
+        let config = Dac12Config {
+            cost: CostParams {
+                history_weight: if mix.history { 0.37 } else { 1.0 },
+                ..CostParams::default()
+            },
+            ..Dac12Config::default()
+        };
+        let router = Dac12Router::new(config);
+        let mut run = RunState::new(&design, &grid, &RouteBudget::default());
+        for v in grid.iter_vertices() {
+            if r(1000) < mix.occupied_per_mille {
+                run.gstate.occupy(v, NetId::new(1));
+            }
+            if mix.history && r(8) == 0 {
+                run.gstate.add_history(v, r(40) as f64 / 97.0);
+            }
+        }
+        for _ in 0..mix.colored_wires {
+            let layer = LayerId::new(r(4) as u32);
+            let (x, y, len) = (r(400) as i64, r(400) as i64, 20 + r(160) as i64);
+            let rect = match grid.layer_axis(layer) {
+                Axis::Horizontal => Rect::from_coords(x, y - 4, x + len, y + 4),
+                Axis::Vertical => Rect::from_coords(x - 4, y, x + 4, y + len),
+            };
+            let mask = Mask::from_index(r(3) as usize);
+            run.map
+                .insert(Feature::wire(NetId::new(1), layer, rect, Some(mask)));
+        }
+        // Half the instances confine the net to a random guide window.
+        let mut in_guide = DenseBitSet::full(grid.num_vertices());
+        if r(2) == 0 {
+            let (x0, y0) = (r(10) as usize, r(10) as usize);
+            let (x1, y1) = (x0 + 8 + r(10) as usize, y0 + 8 + r(10) as usize);
+            for v in grid.iter_vertices() {
+                let (_, ix, iy) = grid.coords(v);
+                if !(x0..=x1).contains(&ix) || !(y0..=y1).contains(&iy) {
+                    in_guide.remove(v.index());
+                }
+            }
+        }
+        Instance {
+            design,
+            grid,
+            coverage,
+            in_guide,
+            router,
+            run,
+        }
+    }
+
+    impl Instance {
+        fn search(&mut self, from: PinId, to: PinId) -> Option<Vec<(VertexId, Mask)>> {
+            self.router.route_two_pin(
+                &self.design,
+                &self.grid,
+                &self.coverage,
+                &mut self.run,
+                &self.in_guide,
+                NetId::new(0),
+                from,
+                to,
+            )
+        }
+
+        fn reference(&self, from: PinId, to: PinId) -> Option<Vec<(VertexId, Mask)>> {
+            reference_route(
+                &self.router,
+                &self.design,
+                &self.grid,
+                &self.coverage,
+                &self.run,
+                &self.in_guide,
+                NetId::new(0),
+                from,
+                to,
+            )
+        }
+
+        /// Distinct distances of the latest search that share a key.
+        fn shared_keys(&self) -> usize {
+            let b = &self.run.buffers;
+            let mut dists: Vec<f64> = (0..b.dist.len())
+                .map(|n| b.dist(n))
+                .filter(|d| d.is_finite())
+                .collect();
+            dists.sort_by(f64::total_cmp);
+            dists
+                .windows(2)
+                .filter(|w| w[0] != w[1] && key(w[0]) == key(w[1]))
+                .count()
+        }
+    }
+
+    /// Searches from net 0's first pin to each other pin and back, checking
+    /// that every search returns the reference's path.  Returns the number
+    /// of searches that found a path and the distinct distances that shared
+    /// a key over all searches.
+    fn assert_matches_reference(inst: &mut Instance, label: &str) -> (usize, usize) {
+        let pins = inst.design.net(NetId::new(0)).pins().to_vec();
+        let (mut found, mut shared) = (0, 0);
+        for &other in &pins[1..] {
+            for (from, to) in [(pins[0], other), (other, pins[0])] {
+                let want = inst.reference(from, to);
+                let got = inst.search(from, to);
+                assert_eq!(got, want, "{label}, {from:?} -> {to:?}");
+                found += usize::from(got.is_some());
+                shared += inst.shared_keys();
+            }
+        }
+        (found, shared)
+    }
+
+    #[test]
+    fn random_blockages_match_reference_dijkstra() {
+        let mut found = 0;
+        for seed in 1..=60 {
+            let mix = Mix {
+                pins: 2,
+                obstacles: 8,
+                ..Mix::default()
+            };
+            let mut inst = random_instance(seed, mix);
+            found += assert_matches_reference(&mut inst, &format!("seed {seed}")).0;
+        }
+        assert!(found > 60, "only {found} searches found a path");
+    }
+
+    #[test]
+    fn other_nets_and_colour_pressure_match_reference_dijkstra() {
+        for seed in 1..=60 {
+            let mix = Mix {
+                pins: 2,
+                occupied_per_mille: 150,
+                foreign_pins: 6,
+                colored_wires: 40,
+                ..Mix::default()
+            };
+            let mut inst = random_instance(seed, mix);
+            assert!(inst
+                .grid
+                .iter_vertices()
+                .any(|v| inst.run.map.vertex_pressure(v) != [0; 3]));
+            assert_matches_reference(&mut inst, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn fractional_history_matches_reference_dijkstra() {
+        let mut shared_keys = 0;
+        for seed in 1..=60 {
+            let mix = Mix {
+                pins: 2,
+                colored_wires: 20,
+                history: true,
+                ..Mix::default()
+            };
+            let mut inst = random_instance(seed, mix);
+            shared_keys += assert_matches_reference(&mut inst, &format!("seed {seed}")).1;
+        }
+        // The instances only test the tie-breaks if distinct distances
+        // really share a key.
+        assert!(shared_keys > 0, "no two distinct distances shared a key");
+    }
+
+    #[test]
+    fn mixed_multi_pin_nets_match_reference_dijkstra() {
+        let mut found = 0;
+        for seed in 1..=40 {
+            let mix = Mix {
+                pins: 3 + (seed % 3) as usize,
+                obstacles: 4,
+                occupied_per_mille: 50,
+                foreign_pins: 3,
+                colored_wires: 30,
+                history: true,
+            };
+            let mut inst = random_instance(seed, mix);
+            found += assert_matches_reference(&mut inst, &format!("seed {seed}")).0;
+        }
+        assert!(found > 200, "only {found} searches found a path");
+    }
+
+    /// The exactness argument needs every step to cost at least one key
+    /// quantum: every term a step adds to the move price is non-negative,
+    /// and the cheapest move of the default costs is a 20-unit wire.
+    #[test]
+    fn every_default_step_costs_at_least_one_key_quantum() {
+        let config = Dac12Config::default();
+        let cost = &config.cost;
+        for extra in [
+            cost.out_of_guide,
+            cost.occupied,
+            cost.history_weight,
+            config.stitch_cost,
+            config.color_conflict_cost,
+        ] {
+            assert!(extra >= 0.0);
+        }
+        for pitch in [1, 20] {
+            for layer in [LayerId::new(0), LayerId::new(1)] {
+                for axis in [Axis::Horizontal, Axis::Vertical] {
+                    for dir in Dir::ALL {
+                        let step = cost.move_cost(dir, layer, axis, pitch);
+                        assert!(key(step) >= 1, "{dir:?} on {layer:?} costs {step}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A target pin with two one-vertex shapes on layer 1 (vertical), both
+    /// at distance 240 from the source.  The high one lies 12 tracks north
+    /// along layer 1.  The low one lies 5 tracks west and 3 south; with its
+    /// northern neighbour taken by another net, its one optimal approach is
+    /// the via down from layer 2, whose nodes have `h` = one via and sort
+    /// after every layer-1 node of the same key.  So A* pops the high
+    /// target first, and Dijkstra returns the low one, whose node ids are
+    /// smaller.
+    #[test]
+    fn equal_distance_targets_match_reference_dijkstra() {
+        let mut b = DesignBuilder::new(
+            "tie",
+            Technology::ispd_like(3),
+            Rect::from_coords(0, 0, 600, 600),
+        );
+        // Track (ix, iy) sits at (10 + 20 ix, 10 + 20 iy).
+        let at = |ix: i64, iy: i64| {
+            let (x, y) = (10 + 20 * ix, 10 + 20 * iy);
+            Rect::from_coords(x - 4, y - 4, x + 4, y + 4)
+        };
+        let source = b.add_pin_shape("s", 1, at(10, 10));
+        let layer1 = LayerId::new(1);
+        let target = b.add_pin("t", vec![(layer1, at(5, 7)), (layer1, at(10, 22))]);
+        b.add_net("n0", vec![source, target]);
+        let design = b.build().unwrap();
+        let grid = GridGraph::build(&design);
+        let coverage = PinCoverage::build(&grid, &design);
+        let (t_low, t_high) = (grid.vertex(1, 5, 7), grid.vertex(1, 10, 22));
+        assert_eq!(coverage.vertices(target), &[t_low, t_high]);
+        let mut inst = Instance {
+            in_guide: DenseBitSet::full(grid.num_vertices()),
+            router: Dac12Router::new(Dac12Config::default()),
+            run: RunState::new(&design, &grid, &RouteBudget::default()),
+            design,
+            grid,
+            coverage,
+        };
+        inst.run
+            .gstate
+            .occupy(inst.grid.vertex(1, 5, 8), NetId::new(1));
+
+        let path = inst.search(source, target).expect("a path exists");
+        let b = &inst.run.buffers;
+        let popped: Vec<VertexId> = b
+            .popped_targets
+            .iter()
+            .map(|&n| inst.run.expanded.unpack(n).0)
+            .collect();
+        assert_eq!(popped.first(), Some(&t_high));
+        assert!(popped.contains(&t_low));
+        let (low, high) = (
+            inst.run.expanded.node(t_low, Mask::Red, 1),
+            inst.run.expanded.node(t_high, Mask::Red, 2),
+        );
+        assert_eq!((b.dist(low), b.dist(high)), (240.0, 240.0));
+        assert_eq!(path.last(), Some(&(t_low, Mask::Red)));
+        assert_eq!(path[path.len() - 2], (inst.grid.vertex(2, 5, 7), Mask::Red));
+        assert_eq!(Some(path), inst.reference(source, target));
     }
 }

@@ -16,9 +16,11 @@
 //! * The global maze always searches goal-directed, drains the frontier
 //!   through the goal key and rebuilds the path with a canonical backtrace,
 //!   so its paths are a pure function of the edge costs.
-//! * The Dr.CU-like maze in `tpl-drcu` applies the same two rules, with a
-//!   `(key, id)` tie-break, to return exactly Dijkstra's target and path
-//!   from a goal-directed search.
+//! * The Dr.CU-like maze in `tpl-drcu` and the DAC'12 baseline's 2-pin
+//!   search in `tpl-dac12` apply the same two rules, with a `(key, id)`
+//!   tie-break, to return exactly Dijkstra's target and path from a
+//!   goal-directed search.  Both order a binary heap by the
+//!   [`GoalBound`](crate::GoalBound) at `alpha = 1`.
 
 use crate::bucket::BucketQueue;
 

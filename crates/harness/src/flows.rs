@@ -90,7 +90,19 @@ pub fn run_dac12(
     guides: &RouteGuides,
     config: &Dac12Config,
 ) -> (CaseRecord, tpl_dac12::Dac12Result) {
-    let result = Dac12Router::new(*config).route(design, guides);
+    run_dac12_budgeted(design, guides, config, &RouteBudget::default())
+}
+
+/// Runs the DAC'12 baseline on a prepared case under a [`RouteBudget`].
+/// The record's `outcome` reports whether the run completed, degraded on a
+/// budget trip or aborted, as for [`run_mrtpl_budgeted`].
+pub fn run_dac12_budgeted(
+    design: &Design,
+    guides: &RouteGuides,
+    config: &Dac12Config,
+    budget: &RouteBudget,
+) -> (CaseRecord, tpl_dac12::Dac12Result) {
+    let result = Dac12Router::new(*config).route_with_budget(design, guides, budget);
     let cost = score_solution(design, guides, &result.solution, &ScoreWeights::default());
     (
         CaseRecord {
@@ -103,7 +115,7 @@ pub fn run_dac12(
             vias: result.solution.total_vias(),
             search_nodes: 0,
             rrr_iterations: result.stats.rrr_iterations,
-            outcome: Outcome::Complete,
+            outcome: result.stats.outcome,
         },
         result,
     )
@@ -189,5 +201,18 @@ mod tests {
         assert!(record.cost > 0.0);
         assert_eq!(record.case, design.name());
         assert_eq!(result.solution.routed_count(), design.nets().len());
+    }
+
+    #[test]
+    fn dac12_flow_reports_the_router_outcome() {
+        let params = CaseParams::ispd18_like(1).scaled(0.25);
+        let (design, guides) = prepare_case(&params);
+        let config = Dac12Config::default();
+        let (record, _) = run_dac12(&design, &guides, &config);
+        assert_eq!(record.outcome, Outcome::Complete);
+        let budget = RouteBudget::with_max_search_nodes(1000);
+        let (record, result) = run_dac12_budgeted(&design, &guides, &config, &budget);
+        assert!(!record.outcome.is_complete());
+        assert_eq!(record.outcome, result.stats.outcome);
     }
 }

@@ -79,7 +79,7 @@ impl Method for Dac12Method {
     fn run(&self, case: &PreparedCase) -> CaseRecord {
         let prepared = case.get();
         let (design, guides, prep_outcome) = &*prepared;
-        let mut record = flows::run_dac12(design, guides, &self.config).0;
+        let mut record = flows::run_dac12_budgeted(design, guides, &self.config, &case.budget()).0;
         record.outcome = record.outcome.merge(*prep_outcome);
         record
     }

@@ -160,13 +160,12 @@ fn a_zero_budget_degrades_but_still_reports_every_case() {
     let records = run_with_plan(None, 2, Some(0));
     for record in &records {
         let case = record.record().expect("zero budget degrades, never fails");
-        if record.method == "mrtpl" {
-            assert!(
-                !case.outcome.is_complete(),
-                "a zero-budget mrtpl run cannot complete"
-            );
-            assert_eq!(record.attempts, 1, "a budget trip is never retried");
-        }
+        assert!(
+            !case.outcome.is_complete(),
+            "a zero-budget {} run cannot complete",
+            record.method
+        );
+        assert_eq!(record.attempts, 1, "a budget trip is never retried");
     }
     assert_report_valid(&report(records).to_json());
 }
