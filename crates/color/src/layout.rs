@@ -1,7 +1,7 @@
 //! Counting conflicts and stitches on a finished, coloured layout.
 
-use crate::{Feature, FeatureKind, Mask};
-use tpl_design::{LayerId, NetId};
+use crate::{ColorMap, Feature, FeatureKind, Mask};
+use tpl_design::{Design, LayerId, NetId};
 use tpl_geom::{BinIndex, Dbu, Rect};
 
 /// A colour conflict: two features of different nets printed on the same mask
@@ -88,6 +88,19 @@ impl ColoredLayout {
             dcolor,
             features: Vec::new(),
         }
+    }
+
+    /// The evaluation layout of a design's live colour map.
+    pub fn from_map(design: &Design, map: &ColorMap) -> Self {
+        let mut layout = ColoredLayout::new(
+            design.die(),
+            design.tech().num_layers(),
+            design.tech().dcolor(),
+        );
+        for f in map.live_features() {
+            layout.add(*f);
+        }
+        layout
     }
 
     /// Adds a feature and returns its index.

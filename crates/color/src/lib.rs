@@ -18,6 +18,8 @@
 //!   O(1) ([`ColorMap::vertex_pressure`]).
 //! * [`ColoredLayout`] — a finished, fully coloured layout on which colour
 //!   conflicts and stitches are counted for the evaluation tables.
+//! * [`rip_up_conflicts`] — the one colour rip-up policy of the TPL-aware
+//!   routers: one victim net per conflict and history cost under it.
 //!
 //! # Examples
 //!
@@ -36,11 +38,13 @@
 mod colormap;
 mod layout;
 mod mask;
+mod ripup;
 mod sets;
 mod state;
 
 pub use colormap::{ColorMap, Feature, FeatureKind};
 pub use layout::{ColoredLayout, ConflictPair, LayoutStats, StitchSite};
 pub use mask::Mask;
+pub use ripup::rip_up_conflicts;
 pub use sets::{ColorSetArena, SegSetId, VerSetId};
 pub use state::ColorState;

@@ -5,9 +5,13 @@ use crate::{
     SearchContext,
 };
 use std::time::Instant;
-use tpl_color::{ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask};
+use tpl_color::{
+    rip_up_conflicts, ColorMap, ColorSetArena, ColorState, ColoredLayout, Feature, Mask,
+};
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutingSolution};
-use tpl_grid::{GridGraph, GridState, Outcome, PinCoverage, RouteBudget, StopReason, VertexId};
+use tpl_grid::{
+    GridGraph, GridState, Outcome, PinCoverage, RouteBudget, StepPrice, StopReason, VertexId,
+};
 use tpl_par::{par_map_pooled, plan_batches, Region, ScratchPool};
 
 /// The result of a Mr.TPL routing run.
@@ -242,7 +246,7 @@ impl MrTplRouter {
 
             // Conflict detection on the committed colour map.
             let detect_span = tpl_trace::span!("core.conflict_detect");
-            let layout = self.build_layout(design, &map);
+            let layout = ColoredLayout::from_map(design, &map);
             let conflicts = layout.conflicts();
             drop(detect_span);
             tpl_trace::counter!("core.conflicts_found", conflicts.len());
@@ -251,62 +255,22 @@ impl MrTplRouter {
                 break;
             }
 
-            // Rip up & update history cost: for every conflict the feature
-            // pair identifies two nets.  Pins cannot move, so the victim is
-            // preferably a net whose conflicting feature is a wire; among
-            // wires the larger net id loses (deterministic).  The conflict
-            // region's vertices get history cost so the reroute avoids it.
-            let features = layout.features();
-            // Victims are collected into a Vec and sorted+deduped below:
-            // deterministic iteration order and no hashing in the RRR loop.
-            let mut victims: Vec<NetId> = Vec::new();
-            for c in &conflicts {
-                let fa = &features[c.a];
-                let fb = &features[c.b];
-                let (Some(na), Some(nb)) = (fa.net, fb.net) else {
-                    continue;
-                };
-                let a_is_wire = fa.kind == tpl_color::FeatureKind::Wire;
-                let b_is_wire = fb.kind == tpl_color::FeatureKind::Wire;
-                let victim = match (a_is_wire, b_is_wire) {
-                    (true, false) => na,
-                    (false, true) => nb,
-                    // Wire-wire: the larger net id loses (deterministic).
-                    (true, true) => {
-                        if na.index() >= nb.index() {
-                            na
-                        } else {
-                            nb
-                        }
-                    }
-                    // Pin-pin: pins cannot move, but rerouting either net
-                    // re-colours its pin with full knowledge of the other,
-                    // which resolves the conflict unless three differently
-                    // coloured neighbours surround the pin.
-                    (false, false) => {
-                        if na.index() >= nb.index() {
-                            na
-                        } else {
-                            nb
-                        }
-                    }
-                };
-                victims.push(victim);
-                for rect in [fa.rect, fb.rect] {
-                    for v in grid.vertices_in_rect(c.layer, &rect) {
-                        gstate.add_history(v, self.config.history_increment);
-                    }
-                }
-            }
-            victims.sort_unstable_by_key(|id| id.index());
-            victims.dedup();
+            // Rip up & update history cost: one victim net per conflict,
+            // history cost on the conflict region so the reroute avoids it.
+            let victims = rip_up_conflicts(
+                &layout,
+                &conflicts,
+                &grid,
+                &mut gstate,
+                self.config.history_increment,
+            );
             if victims.is_empty() {
                 break;
             }
             to_route = victims;
         }
 
-        let layout = self.build_layout(design, &map);
+        let layout = ColoredLayout::from_map(design, &map);
         let layout_stats = layout.stats();
         stats.conflicts = layout_stats.conflicts;
         stats.stitches = layout_stats.stitches;
@@ -320,19 +284,6 @@ impl MrTplRouter {
             layout,
             stats,
         }
-    }
-
-    /// Builds the evaluation layout from the live colour map.
-    fn build_layout(&self, design: &Design, map: &ColorMap) -> ColoredLayout {
-        let mut layout = ColoredLayout::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
-        for f in map.live_features() {
-            layout.add(*f);
-        }
-        layout
     }
 
     /// Routes one multi-pin net (Algorithm 1): seeds the queue with the first
@@ -360,13 +311,16 @@ impl MrTplRouter {
         let net = design.net(net_id);
         let in_guide = grid.guide_membership(guides, net_id);
         let ctx = SearchContext {
-            grid,
-            state: gstate,
-            coverage,
-            design,
+            price: StepPrice {
+                grid,
+                state: gstate,
+                coverage,
+                design,
+                cost: &self.config.cost,
+                net: net_id,
+                in_guide: &in_guide,
+            },
             config: &self.config,
-            net: net_id,
-            in_guide: &in_guide,
             map,
         };
 

@@ -10,8 +10,8 @@
 //!   arena-pooled per `tpl-par` worker by the router.
 //! * **Bucket frontier** — the priority queue is the monotone
 //!   [`BucketQueue`], whose pop order is exactly a binary heap's ascending
-//!   `(key, id)`.  Costs quantise to keys at a fixed 256 units per cost
-//!   unit.
+//!   `(key, id)`.  Costs quantise to keys with the shared
+//!   [`tpl_grid::key`], 256 units per cost unit.
 //! * **Goal-directed A\*** — an admissible, consistent Manhattan lower bound
 //!   to the nearest unreached pin's coverage box steers expansion towards
 //!   the goal instead of growing a full circle around the tree.  The router
@@ -27,32 +27,22 @@
 use crate::{MrTplConfig, SearchPolicy};
 use std::time::Instant;
 use tpl_color::{ColorMap, ColorState, Mask};
-use tpl_design::{Design, LayerId, NetId, PinId};
+use tpl_design::PinId;
 use tpl_geom::Dir;
 use tpl_grid::{
-    BucketQueue, CancelToken, DenseBitSet, EpochStamps, GoalBound, GridGraph, GridState,
-    PinCoverage, RouteBudget, StopReason, VertexId,
+    key, BucketQueue, CancelToken, EpochStamps, GoalBound, RouteBudget, StepPrice, StopReason,
+    VertexId,
 };
 
 /// How many pops pass between wall-clock/cancellation probes (a power of
 /// two; node-count budgeting stays exact and per-pop).
 const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
 
-/// Key units per cost unit when quantising `f64` costs to frontier keys
-/// (the historical `(cost * 256.0) as u64` of the detailed router).
-const KEY_RESOLUTION: f64 = 256.0;
-
 /// `log2` key units per bucket: one bucket is 4096 key units, and the
 /// minimum planar step of the detailed grid is ~5120 key units, so
 /// consecutive expansions land a bucket or so apart and cursor scans stay
 /// short.
 const BUCKET_SHIFT: u32 = 12;
-
-/// Quantises a cost to its frontier key.
-#[inline]
-fn key(cost: f64) -> u64 {
-    (cost * KEY_RESOLUTION) as u64
-}
 
 /// Per-vertex search bookkeeping with three levels of epoch invalidation:
 /// per-search (distance, predecessor, colour state, queued key, target
@@ -324,52 +314,15 @@ impl NetBuffers {
 
 /// Borrowed context for routing a single net.
 pub struct SearchContext<'a> {
-    /// The routing grid.
-    pub grid: &'a GridGraph,
-    /// Blockage / occupancy / history state.
-    pub state: &'a GridState,
-    /// Pin-to-vertex coverage.
-    pub coverage: &'a PinCoverage,
-    /// The design being routed.
-    pub design: &'a Design,
+    /// The colour-free step price of the net (`Cost_trad` of Eq. (1)).
+    pub price: StepPrice<'a>,
     /// Router configuration (weights of Eq. (1)).
     pub config: &'a MrTplConfig,
-    /// The net being routed.
-    pub net: NetId,
-    /// Whether each vertex lies inside the net's route guide.
-    pub in_guide: &'a DenseBitSet,
     /// Already-coloured features of other nets.
     pub map: &'a ColorMap,
 }
 
 impl<'a> SearchContext<'a> {
-    /// The traditional (colour-free) part of the cost of stepping in
-    /// direction `dir` from a vertex on `from_layer` onto `to`, or `None`
-    /// when `to` is blocked.  The caller decodes the popped vertex's layer
-    /// once for all of its neighbours.
-    #[inline]
-    pub fn trad_cost(&self, from_layer: LayerId, to: VertexId, dir: Dir) -> Option<f64> {
-        if self.state.is_blocked(to) {
-            return None;
-        }
-        let cost = &self.config.cost;
-        let axis = self.grid.layer_axis(from_layer);
-        let mut c = cost.move_cost(dir, from_layer, axis, self.grid.pitch());
-        if !self.in_guide.get(to.index()) {
-            c += cost.out_of_guide * self.grid.pitch() as f64;
-        }
-        if self.state.is_occupied_by_other(to, self.net) {
-            c += cost.occupied;
-        }
-        if let Some(pin) = self.coverage.pin_at(to) {
-            if self.design.pin(pin).net() != self.net {
-                c += cost.occupied;
-            }
-        }
-        c += cost.history_weight * self.state.history(to);
-        Some(c)
-    }
-
     /// Evaluates the 3×2 colour-cost table of Algorithm 2 for one step and
     /// returns the minimum cost together with the set of masks attaining it.
     pub fn color_step(
@@ -423,9 +376,10 @@ pub fn search(
     buffers.begin_search();
     // O(targets) goal marking: a vertex is a goal exactly when the seed's
     // linear test (`pin_at(v)` unreached) would have said so.
+    let (grid, coverage) = (ctx.price.grid, ctx.price.coverage);
     for &pin in unreached {
-        for &v in ctx.coverage.vertices(pin) {
-            if ctx.coverage.pin_at(v) == Some(pin) {
+        for &v in coverage.vertices(pin) {
+            if coverage.pin_at(v) == Some(pin) {
                 buffers.mark_target(v, pin);
             }
         }
@@ -434,8 +388,8 @@ pub fn search(
     // non-negative, so the shared bound at this `alpha` stays admissible.
     let bound = if buffers.goal_directed {
         GoalBound::build(
-            ctx.grid,
-            ctx.coverage,
+            grid,
+            coverage,
             &ctx.config.cost,
             ctx.config.alpha,
             unreached,
@@ -443,12 +397,12 @@ pub fn search(
     } else {
         None
     };
-    let h = |v: VertexId| bound.as_ref().map_or(0.0, |b| b.h(ctx.grid, v));
+    let h = |v: VertexId| bound.as_ref().map_or(0.0, |b| b.h(grid, v));
 
     let mut frontier = std::mem::replace(&mut buffers.frontier, tpl_grid::frontier(BUCKET_SHIFT));
     frontier.clear();
     for &(s, state) in sources {
-        if ctx.state.is_blocked(s) {
+        if ctx.price.state.is_blocked(s) {
             continue;
         }
         buffers.relax(s, 0.0, None, state);
@@ -480,9 +434,9 @@ pub fn search(
         }
         let d = buffers.dist(v);
         let from_state = buffers.state(v);
-        let layer = ctx.grid.layer_of(v);
-        for (dir, n) in ctx.grid.neighbors(v) {
-            let Some(trad) = ctx.trad_cost(layer, n, dir) else {
+        let layer = grid.layer_of(v);
+        for (dir, n) in grid.neighbors(v) {
+            let Some(trad) = ctx.price.trad(layer, dir, n) else {
                 continue;
             };
             let (step, new_state) = ctx.color_step(from_state, n, dir, trad);
@@ -513,8 +467,9 @@ pub fn search(
 mod tests {
     use super::*;
     use tpl_color::Feature;
-    use tpl_design::{DesignBuilder, LayerId, Technology};
+    use tpl_design::{Design, DesignBuilder, LayerId, NetId, Technology};
     use tpl_geom::Rect;
+    use tpl_grid::{DenseBitSet, GridGraph, GridState, PinCoverage};
 
     struct Fixture {
         design: Design,
@@ -551,13 +506,16 @@ mod tests {
 
     fn ctx<'a>(f: &'a Fixture, in_guide: &'a DenseBitSet) -> SearchContext<'a> {
         SearchContext {
-            grid: &f.grid,
-            state: &f.gstate,
-            coverage: &f.coverage,
-            design: &f.design,
+            price: StepPrice {
+                grid: &f.grid,
+                state: &f.gstate,
+                coverage: &f.coverage,
+                design: &f.design,
+                cost: &f.config.cost,
+                net: NetId::new(0),
+                in_guide,
+            },
             config: &f.config,
-            net: NetId::new(0),
-            in_guide,
             map: &f.map,
         }
     }
@@ -593,13 +551,6 @@ mod tests {
             v = p;
         }
         assert_eq!(buffers.dist(v), 0.0);
-    }
-
-    #[test]
-    fn keys_match_the_historical_quantisation() {
-        assert_eq!(key(1.0), 256);
-        assert_eq!(key(20.0), 5120);
-        assert_eq!(key(0.0), 0);
     }
 
     #[test]
@@ -770,7 +721,7 @@ mod tests {
         let c = ctx(&f, &in_guide);
         let v = f.grid.vertex(0, 5, 5);
         let n = f.grid.vertex(0, 6, 5);
-        let trad = c.trad_cost(f.grid.layer_of(v), n, Dir::East).unwrap();
+        let trad = c.price.trad(f.grid.layer_of(v), Dir::East, n).unwrap();
         // From a green-only state, staying green is cheapest and red/blue pay
         // the stitch cost on top.
         let (cost_green_state, set) = c.color_step(
@@ -785,7 +736,7 @@ mod tests {
         assert!((cost_green_state - cost_full_state).abs() < 1e-9);
         // Via steps never pay a stitch cost.
         let above = f.grid.vertex(1, 5, 5);
-        let via_trad = c.trad_cost(f.grid.layer_of(v), above, Dir::Up).unwrap();
+        let via_trad = c.price.trad(f.grid.layer_of(v), Dir::Up, above).unwrap();
         let (_, via_set) = c.color_step(
             ColorState::from_mask(tpl_color::Mask::Green),
             above,
@@ -803,11 +754,12 @@ mod tests {
         sources: &[(VertexId, ColorState)],
         targets: &[VertexId],
     ) -> f64 {
-        let n = c.grid.num_vertices();
+        let grid = c.price.grid;
+        let n = grid.num_vertices();
         let mut dist = vec![f64::INFINITY; n];
         let mut done = vec![false; n];
         for &(s, _) in sources {
-            if !c.state.is_blocked(s) {
+            if !c.price.state.is_blocked(s) {
                 dist[s.index()] = 0.0;
             }
         }
@@ -825,8 +777,8 @@ mod tests {
             }
             done[u] = true;
             let v = VertexId::new(u as u32);
-            for (dir, w) in c.grid.neighbors(v) {
-                if let Some(trad) = c.trad_cost(c.grid.layer_of(v), w, dir) {
+            for (dir, w) in grid.neighbors(v) {
+                if let Some(trad) = c.price.trad(grid.layer_of(v), dir, w) {
                     let nd = dist[u] + c.config.alpha * trad;
                     if nd < dist[w.index()] {
                         dist[w.index()] = nd;
@@ -881,13 +833,16 @@ mod tests {
             let config = MrTplConfig::default();
             let in_guide = DenseBitSet::full(grid.num_vertices());
             let c = SearchContext {
-                grid: &grid,
-                state: &gstate,
-                coverage: &coverage,
-                design: &design,
+                price: StepPrice {
+                    grid: &grid,
+                    state: &gstate,
+                    coverage: &coverage,
+                    design: &design,
+                    cost: &config.cost,
+                    net: NetId::new(0),
+                    in_guide: &in_guide,
+                },
                 config: &config,
-                net: NetId::new(0),
-                in_guide: &in_guide,
                 map: &map,
             };
             let sources: Vec<(VertexId, ColorState)> = coverage

@@ -15,12 +15,13 @@
 //!    can never change its mask, junctions between connections frequently
 //!    force stitches — exactly the behaviour of Fig. 1(c) in the paper.
 //!
-//! The cost model (traditional cost, colour-conflict pressure, stitch cost)
-//! and the rip-up-and-reroute loop are shared with Mr.TPL so the comparison
-//! isolates the colour-handling strategy.  The search is as optimised as the
-//! other routers': goal-directed A\* with the shared `tpl_grid::GoalBound`,
-//! which still returns exactly the path a plain Dijkstra would, and it
-//! honours a `tpl_grid::RouteBudget`
+//! The cost model (the shared `tpl_grid::StepPrice`, colour-conflict
+//! pressure, stitch cost) and the rip-up policy
+//! (`tpl_color::rip_up_conflicts`) are shared with Mr.TPL so the comparison
+//! isolates the colour-handling strategy.  The search is the Dr.CU-like
+//! maze's: the shared exact A\* loop `tpl_grid::ExactSearch`, over this
+//! crate's expanded node space, which returns exactly the path a plain
+//! Dijkstra would, and it honours a `tpl_grid::RouteBudget`
 //! ([`Dac12Router::route_with_budget`]).
 //!
 //! # Examples

@@ -1,18 +1,15 @@
 //! The DAC'12 baseline router: expanded-graph search over 2-pin connections.
 
 use crate::ExpandedGraph;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
-use tpl_color::{ColorMap, ColoredLayout, Feature, Mask};
+use tpl_color::{rip_up_conflicts, ColorMap, ColoredLayout, Feature, Mask};
 use tpl_design::{
-    Design, LayerId, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution,
-    ViaInstance,
+    Design, NetId, PinId, RouteGuides, RouteSegment, RoutedNet, RoutingSolution, ViaInstance,
 };
-use tpl_geom::{Dir, Segment};
+use tpl_geom::Segment;
 use tpl_grid::{
-    CostParams, DenseBitSet, EpochStamps, GoalBound, GridGraph, GridState, Outcome, PinCoverage,
-    RouteBudget, StopReason, VertexId,
+    CostParams, DenseBitSet, EpochStamps, ExactSearch, GoalBound, GridGraph, GridState, NodeQueue,
+    NodeSpace, Outcome, PinCoverage, RouteBudget, SearchPops, StepPrice, StopReason, VertexId,
 };
 
 /// Configuration of the DAC'12 baseline router.
@@ -39,6 +36,20 @@ impl Default for Dac12Config {
             max_rrr_iterations: 5,
             history_increment: 60.0,
         }
+    }
+}
+
+impl Dac12Config {
+    /// The full price of a step with colour-free price `trad` onto a mask
+    /// under `pressure` same-mask neighbours, plus a stitch if it changes
+    /// mask along a planar move.
+    #[inline]
+    fn step(&self, trad: f64, pressure: u16, stitch: bool) -> f64 {
+        let mut step = trad + self.color_conflict_cost * pressure as f64;
+        if stitch {
+            step += self.stitch_cost;
+        }
+        step
     }
 }
 
@@ -92,19 +103,6 @@ pub struct Dac12Router {
 const SLOTS: usize = ExpandedGraph::SLOTS;
 const MASKS: usize = Mask::ALL.len();
 
-/// Search keys per cost unit.
-const KEY_RESOLUTION: f64 = 256.0;
-
-/// Quantises a cost to its search key.
-#[inline]
-fn key(cost: f64) -> u64 {
-    (cost * KEY_RESOLUTION) as u64
-}
-
-/// A limited budget's deadline and cancel token are probed whenever the
-/// run's search-node count is a multiple of this mask plus one.
-const INTERRUPT_PROBE_MASK: usize = 0x0FFF;
-
 /// Search buffers over the expanded node space.
 ///
 /// One epoch stamp guards a whole grid vertex: its [`SLOTS`] node distances
@@ -118,11 +116,6 @@ struct NodeBuffers {
     planar_done: Vec<f64>,
     /// Goal vertices of the current search.
     target: EpochStamps,
-    /// Target nodes the current search popped, in pop order.
-    popped_targets: Vec<usize>,
-    /// Frontier entries `(key << 64) | node`: the `u128` order is exactly
-    /// the `(key, node)` order, decided by one comparison.
-    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl NodeBuffers {
@@ -135,16 +128,12 @@ impl NodeBuffers {
             dist: vec![0.0; num_vertices * SLOTS],
             planar_done: vec![0.0; num_vertices * MASKS],
             target: EpochStamps::new(num_vertices),
-            popped_targets: Vec::new(),
-            heap: BinaryHeap::new(),
         }
     }
 
     fn begin(&mut self) {
         self.stamps.begin();
         self.target.begin();
-        self.popped_targets.clear();
-        self.heap.clear();
     }
 
     #[inline]
@@ -168,62 +157,13 @@ impl NodeBuffers {
     }
 }
 
-/// The read-only inputs that price the steps of one net's searches.
-struct Prices<'a> {
-    design: &'a Design,
-    grid: &'a GridGraph,
-    coverage: &'a PinCoverage,
-    gstate: &'a GridState,
-    in_guide: &'a DenseBitSet,
-    config: &'a Dac12Config,
-    net: NetId,
-}
-
-impl Prices<'_> {
-    /// The colour-free price of a move in `dir` from a vertex on `layer`
-    /// onto `to`, or `None` when `to` is blocked.
-    #[inline]
-    fn trad(&self, layer: LayerId, dir: Dir, to: VertexId) -> Option<f64> {
-        if self.gstate.is_blocked(to) {
-            return None;
-        }
-        let cost = &self.config.cost;
-        let pitch = self.grid.pitch();
-        let mut trad = cost.move_cost(dir, layer, self.grid.layer_axis(layer), pitch);
-        if !self.in_guide.get(to.index()) {
-            trad += cost.out_of_guide * pitch as f64;
-        }
-        if self.gstate.is_occupied_by_other(to, self.net) {
-            trad += cost.occupied;
-        }
-        if let Some(pin) = self.coverage.pin_at(to) {
-            if self.design.pin(pin).net() != self.net {
-                trad += cost.occupied;
-            }
-        }
-        trad += cost.history_weight * self.gstate.history(to);
-        Some(trad)
-    }
-
-    /// The full price of a step with colour-free price `trad` onto a mask
-    /// under `pressure` same-mask neighbours, plus a stitch if it changes
-    /// mask along a planar move.
-    #[inline]
-    fn step(&self, trad: f64, pressure: u16, stitch: bool) -> f64 {
-        let mut step = trad + self.config.color_conflict_cost * pressure as f64;
-        if stitch {
-            step += self.config.stitch_cost;
-        }
-        step
-    }
-}
-
 /// Mutable state shared by every net of one run.
 struct RunState {
     expanded: ExpandedGraph,
     gstate: GridState,
     map: ColorMap,
     buffers: NodeBuffers,
+    exact: ExactSearch,
     solution: RoutingSolution,
     segment_masks: Vec<Vec<Option<Mask>>>,
     net_vertices: Vec<Vec<VertexId>>,
@@ -240,6 +180,7 @@ impl RunState {
             gstate: GridState::new(grid, design),
             map: ColorMap::new(grid, design.tech().dcolor()),
             buffers: NodeBuffers::new(grid.num_vertices()),
+            exact: ExactSearch::new(),
             solution: RoutingSolution::new(design.nets().len()),
             segment_masks: vec![Vec::new(); design.nets().len()],
             net_vertices: vec![Vec::new(); design.nets().len()],
@@ -337,49 +278,26 @@ impl Dac12Router {
             }
 
             let detect_span = tpl_trace::span!("dac12.conflict_detect");
-            let layout = self.build_layout(design, &run.map);
+            let layout = ColoredLayout::from_map(design, &run.map);
             let conflicts = layout.conflicts();
             drop(detect_span);
             if conflicts.is_empty() || iteration == self.config.max_rrr_iterations {
                 break;
             }
-            let features = layout.features();
-            let mut victims: Vec<NetId> = Vec::new();
-            for c in &conflicts {
-                let fa = &features[c.a];
-                let fb = &features[c.b];
-                let (Some(na), Some(nb)) = (fa.net, fb.net) else {
-                    continue;
-                };
-                let a_is_wire = fa.kind == tpl_color::FeatureKind::Wire;
-                let b_is_wire = fb.kind == tpl_color::FeatureKind::Wire;
-                let victim = match (a_is_wire, b_is_wire) {
-                    (true, false) => na,
-                    (false, true) => nb,
-                    _ => {
-                        if na.index() >= nb.index() {
-                            na
-                        } else {
-                            nb
-                        }
-                    }
-                };
-                victims.push(victim);
-                for rect in [fa.rect, fb.rect] {
-                    for v in grid.vertices_in_rect(c.layer, &rect) {
-                        run.gstate.add_history(v, self.config.history_increment);
-                    }
-                }
-            }
-            victims.sort_unstable_by_key(|id| id.index());
-            victims.dedup();
+            let victims = rip_up_conflicts(
+                &layout,
+                &conflicts,
+                &grid,
+                &mut run.gstate,
+                self.config.history_increment,
+            );
             if victims.is_empty() {
                 break;
             }
             to_route = victims;
         }
 
-        let layout = self.build_layout(design, &run.map);
+        let layout = ColoredLayout::from_map(design, &run.map);
         let layout_stats = layout.stats();
         let mut stats = run.stats;
         stats.conflicts = layout_stats.conflicts;
@@ -393,18 +311,6 @@ impl Dac12Router {
             layout,
             stats,
         }
-    }
-
-    fn build_layout(&self, design: &Design, map: &ColorMap) -> ColoredLayout {
-        let mut layout = ColoredLayout::new(
-            design.die(),
-            design.tech().num_layers(),
-            design.tech().dcolor(),
-        );
-        for f in map.live_features() {
-            layout.add(*f);
-        }
-        layout
     }
 
     /// Routes one net as independent 2-pin connections along its MST.
@@ -519,42 +425,15 @@ impl Dac12Router {
     /// to destination.  `None` when no path exists or the budget stopped
     /// the search (then `run.stop` says why).
     ///
-    /// The search is goal-directed, yet it returns exactly the target and
-    /// path of a plain Dijkstra over `(key(dist), node)` that stops at its
-    /// first target and walks back the move that first reached each node
-    /// at its final distance.  The rules and the argument are those of the
-    /// `tpl-drcu` maze:
-    ///
-    /// 1. **Bound.**  The frontier is ordered by `key(d + h)`, with `h` the
-    ///    [`GoalBound`] to the target pin at `alpha = 1`: admissible and
-    ///    consistent, because the colour, stitch, guide, occupancy and
-    ///    history terms are all `>= 0`.
-    /// 2. **Drain.**  With `g` the least key of any target popped so far,
-    ///    the search pops through `g + 1`.  Targets are never expanded.  It
-    ///    returns the popped target with the least `(key(dist), node)`.
-    /// 3. **Canonical backtrace.**  Each step back goes to the optimal
-    ///    predecessor with the least `(key(dist), node)`, priced with the
-    ///    forward pass's f64 operations (see [`Self::predecessor`]).
-    ///
-    /// Precondition: every step costs at least one key quantum, so that
-    /// Dijkstra expands every node once, at its final distance, in
-    /// `(key(dist), node)` order.
-    ///
-    /// **Dominance pruning.**  A planar move's successor node and step cost
-    /// depend on the vertex, the mask and the direction moved, never on the
-    /// direction class the node was entered with.  So once some class of a
-    /// `(vertex, mask)` pair has relaxed its planar moves at distance `d'`,
-    /// a sibling popped later at `d >= d'` would only offer distances
-    /// `d + step >= d' + step` to nodes that already hold at most
-    /// `d' + step`; under the strict `<` relax every one of those
-    /// relaxations is a no-op, and the search skips them.  Via moves keep
-    /// the incoming class and are always relaxed, and the goal test runs
-    /// first.  Skipping no-ops leaves every distance and frontier entry as
-    /// they are, in this search and in the reference Dijkstra alike.  The
-    /// backtrace also never picks a sibling that Dijkstra pruned: that
-    /// sibling's earlier-popped twin, with a smaller `(key, node)`, reaches
-    /// the node at the same distance.  Siblings share `h`, so neither rule
-    /// depends on which of them the bound orders first.
+    /// The search is the shared [`ExactSearch`] over [`TwoPinSpace`] with
+    /// the [`GoalBound`] to the target pin at `alpha = 1`, admissible and
+    /// consistent because the colour, stitch, guide, occupancy and history
+    /// terms are all `>= 0`.  So it returns exactly the target and path of a
+    /// plain Dijkstra over `(key(dist), node)` that stops at its first
+    /// target and walks back the move that first reached each node at its
+    /// final distance.  Its frontier pops count in `search_nodes` and
+    /// `stale_pops`, and the budget caps and probes the run-wide
+    /// `search_nodes`.
     #[allow(clippy::too_many_arguments)]
     fn route_two_pin(
         &self,
@@ -572,151 +451,165 @@ impl Dac12Router {
             gstate,
             map,
             buffers,
+            exact,
             stats,
             budget,
             stop,
             ..
         } = run;
-        let prices = Prices {
-            design,
-            grid,
-            coverage,
-            gstate,
-            in_guide,
-            config: &self.config,
-            net: net_id,
-        };
         let bound = GoalBound::build(grid, coverage, &self.config.cost, 1.0, &[to])?;
-        let node_cap = budget.max_search_nodes.unwrap_or(u64::MAX);
-        let probe = !budget.is_unlimited();
         buffers.begin();
-        let mut heap = std::mem::take(&mut buffers.heap);
-
+        let queue = exact.begin();
         for &v in coverage.vertices(from) {
             if gstate.is_blocked(v) {
                 continue;
             }
-            let k = key(bound.h(grid, v)) as u128;
+            let h = bound.h(grid, v);
             for mask in Mask::ALL {
                 let n = expanded.node(v, mask, 0);
                 buffers.relax(n, 0.0);
-                heap.push(Reverse(k << 64 | n as u128));
+                queue.push(h, n);
             }
         }
         for &v in coverage.vertices(to) {
             buffers.target.touch(v.index());
         }
 
-        let mut goal_key: Option<u64> = None;
-        while let Some(Reverse(entry)) = heap.pop() {
-            let (k, node) = ((entry >> 64) as u64, entry as u64 as usize);
-            if goal_key.is_some_and(|g| k > g + 1) {
-                break; // drained one quantum past the best popped target
+        let mut space = TwoPinSpace {
+            price: StepPrice {
+                grid,
+                state: gstate,
+                coverage,
+                design,
+                cost: &self.config.cost,
+                net: net_id,
+                in_guide,
+            },
+            config: &self.config,
+            expanded,
+            map,
+            bound: &bound,
+            buffers,
+            pruned_planar: &mut stats.pruned_planar,
+        };
+        let mut pops = SearchPops {
+            settled: stats.search_nodes,
+            stale: stats.stale_pops,
+        };
+        let found = exact.run(&mut space, &mut pops, budget);
+        stats.search_nodes = pops.settled;
+        stats.stale_pops = pops.stale;
+        let goal = match found {
+            Ok(goal) => goal?,
+            Err(reason) => {
+                *stop = Some(reason);
+                return None;
             }
-            let d = buffers.dist(node);
-            let (v, mask, dir_class) = expanded.unpack(node);
-            if key(d + bound.h(grid, v)) < k {
-                stats.stale_pops += 1;
-                continue;
-            }
-            if stats.search_nodes as u64 >= node_cap {
-                *stop = Some(StopReason::SearchNodes);
-                break;
-            }
-            if probe && stats.search_nodes & INTERRUPT_PROBE_MASK == 0 {
-                if let Some(reason) = budget.interrupted() {
-                    *stop = Some(reason);
-                    break;
-                }
-            }
-            stats.search_nodes += 1;
-            if buffers.target.is_fresh(v.index()) {
-                goal_key = Some(goal_key.map_or(k, |g| g.min(k)));
-                buffers.popped_targets.push(node);
-                continue;
-            }
-            let done = &mut buffers.planar_done[v.index() * MASKS + mask.index()];
-            let planar = d < *done;
-            if planar {
-                *done = d;
-            } else {
-                stats.pruned_planar += 1;
-            }
-            let layer = grid.layer_of(v);
-            for (dir, n) in grid.neighbors(v) {
-                let next_class = match dir.axis() {
-                    Some(_) if !planar => continue,
-                    Some(_) => ExpandedGraph::dir_class(dir),
-                    None => dir_class,
-                };
-                let Some(trad) = prices.trad(layer, dir, n) else {
-                    continue;
-                };
-                let pressure = map.vertex_pressure(n);
-                let h = bound.h(grid, n);
-                for next_mask in Mask::ALL {
-                    let step = prices.step(
-                        trad,
-                        pressure[next_mask.index()],
-                        dir.is_planar() && next_mask != mask,
-                    );
-                    let nn = expanded.node(n, next_mask, next_class);
-                    let nd = d + step;
-                    if nd < buffers.dist(nn) {
-                        buffers.relax(nn, nd);
-                        heap.push(Reverse((key(nd + h) as u128) << 64 | nn as u128));
-                    }
-                }
-            }
-        }
-        buffers.heap = heap;
-        if stop.is_some() {
-            return None;
-        }
-
-        let goal = buffers
-            .popped_targets
-            .iter()
-            .copied()
-            .min_by_key(|&t| (key(buffers.dist(t)), t))?;
-        let mut path = Vec::new();
-        let mut cur = goal;
-        loop {
-            let (v, mask, _) = expanded.unpack(cur);
-            path.push((v, mask));
-            if buffers.dist(cur) == 0.0 {
-                break; // a source
-            }
-            cur = Self::predecessor(&prices, expanded, map, buffers, cur);
-        }
-        path.reverse();
+        };
+        let path = ExactSearch::backtrace(&space, goal)
+            .into_iter()
+            .map(|n| {
+                let (v, mask, _) = expanded.unpack(n);
+                (v, mask)
+            })
+            .collect();
         Some(path)
     }
+}
 
-    /// The node Dijkstra reached non-source node `cur` from: among the
-    /// nodes `u` with `dist(u) + step(u → cur) == dist(cur)`, computed with
-    /// the forward pass's f64 operations, the one with the least
-    /// `(key(dist(u)), u)`.  Under the key-quantum precondition that is the
-    /// first node Dijkstra expanded that offered `dist(cur)`, the one that
-    /// made the strict relaxation.
-    ///
-    /// A node of class `c` entered by a planar move came from the
-    /// neighbour against the move of class `c`, with any mask and class.
-    /// One entered by a via came from the vertex across it, with any mask
-    /// and the same class `c`.  Target vertices are skipped: neither search
-    /// expands them, and none lies closer than the returned target.
-    fn predecessor(
-        prices: &Prices<'_>,
-        expanded: &ExpandedGraph,
-        map: &ColorMap,
-        buffers: &NodeBuffers,
-        cur: usize,
-    ) -> usize {
-        let grid = prices.grid;
-        let (v, mask, class) = expanded.unpack(cur);
-        let d = buffers.dist(cur);
-        let pressure = map.vertex_pressure(v)[mask.index()];
-        let mut best: Option<(u64, usize)> = None;
+/// The expanded `(vertex, mask, direction class)` node space of one 2-pin
+/// search.
+///
+/// **Dominance pruning.**  A planar move's successor node and step cost
+/// depend on the vertex, the mask and the direction moved, never on the
+/// direction class the node was entered with.  So once some class of a
+/// `(vertex, mask)` pair has relaxed its planar moves at distance `d'`, a
+/// sibling expanded later at `d >= d'` would only offer distances
+/// `d + step >= d' + step` to nodes that already hold at most `d' + step`;
+/// under the strict `<` relax every one of those relaxations is a no-op,
+/// and the space skips them.  Via moves keep the incoming class and are
+/// always relaxed.  The canonical backtrace never picks a sibling that
+/// Dijkstra pruned either: that sibling's earlier-expanded twin, with a
+/// smaller `(key, node)`, reaches the node at the same distance.  Siblings
+/// share `h`, so neither rule depends on which of them the bound orders
+/// first.
+struct TwoPinSpace<'a> {
+    price: StepPrice<'a>,
+    config: &'a Dac12Config,
+    expanded: &'a ExpandedGraph,
+    map: &'a ColorMap,
+    bound: &'a GoalBound,
+    buffers: &'a mut NodeBuffers,
+    /// Expanded nodes whose planar moves dominance pruning skipped.
+    pruned_planar: &'a mut usize,
+}
+
+impl NodeSpace for TwoPinSpace<'_> {
+    #[inline]
+    fn bound(&self, node: usize) -> f64 {
+        let (v, _, _) = self.expanded.unpack(node);
+        self.bound.h(self.price.grid, v)
+    }
+
+    #[inline]
+    fn dist(&self, node: usize) -> f64 {
+        self.buffers.dist(node)
+    }
+
+    #[inline]
+    fn is_target(&self, node: usize) -> bool {
+        self.buffers.target.is_fresh(node / SLOTS)
+    }
+
+    #[inline]
+    fn expand(&mut self, node: usize, d: f64, queue: &mut NodeQueue) {
+        let grid = self.price.grid;
+        let (v, mask, dir_class) = self.expanded.unpack(node);
+        let done = &mut self.buffers.planar_done[v.index() * MASKS + mask.index()];
+        let planar = d < *done;
+        if planar {
+            *done = d;
+        } else {
+            *self.pruned_planar += 1;
+        }
+        let layer = grid.layer_of(v);
+        for (dir, n) in grid.neighbors(v) {
+            let next_class = match dir.axis() {
+                Some(_) if !planar => continue,
+                Some(_) => ExpandedGraph::dir_class(dir),
+                None => dir_class,
+            };
+            let Some(trad) = self.price.trad(layer, dir, n) else {
+                continue;
+            };
+            let pressure = self.map.vertex_pressure(n);
+            let h = self.bound.h(grid, n);
+            for next_mask in Mask::ALL {
+                let step = self.config.step(
+                    trad,
+                    pressure[next_mask.index()],
+                    dir.is_planar() && next_mask != mask,
+                );
+                let nn = self.expanded.node(n, next_mask, next_class);
+                let nd = d + step;
+                if nd < self.buffers.dist(nn) {
+                    self.buffers.relax(nn, nd);
+                    queue.push(nd + h, nn);
+                }
+            }
+        }
+    }
+
+    /// A node of class `c` entered by a planar move comes from the
+    /// neighbour against the move, with any mask and class if the move's
+    /// class is `c`.  One entered by a via comes from the vertex across it,
+    /// with any mask and the same class `c`.  Target vertices are skipped:
+    /// neither search expands them, and none lies closer than the returned
+    /// target.
+    fn predecessors(&self, node: usize, mut visit: impl FnMut(usize, f64)) {
+        let grid = self.price.grid;
+        let (v, mask, class) = self.expanded.unpack(node);
+        let pressure = self.map.vertex_pressure(v)[mask.index()];
         for (back, u) in grid.neighbors(v) {
             let dir = back.opposite();
             let classes = match dir.axis() {
@@ -724,25 +617,21 @@ impl Dac12Router {
                 Some(_) => 0..4,
                 None => class..class + 1,
             };
-            if buffers.target.is_fresh(u.index()) {
+            if self.buffers.target.is_fresh(u.index()) {
                 continue;
             }
-            let Some(trad) = prices.trad(grid.layer_of(u), dir, v) else {
+            let Some(trad) = self.price.trad(grid.layer_of(u), dir, v) else {
                 continue;
             };
             for from_mask in Mask::ALL {
-                let step = prices.step(trad, pressure, dir.is_planar() && from_mask != mask);
+                let step = self
+                    .config
+                    .step(trad, pressure, dir.is_planar() && from_mask != mask);
                 for c in classes.clone() {
-                    let un = expanded.node(u, from_mask, c);
-                    let du = buffers.dist(un);
-                    let cand = (key(du), un);
-                    if du + step == d && best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
+                    visit(self.expanded.node(u, from_mask, c), step);
                 }
             }
         }
-        best.expect("a settled node has an optimal predecessor").1
     }
 }
 
@@ -1047,8 +936,11 @@ mod tests {
 #[cfg(test)]
 mod reference_dijkstra {
     use super::*;
-    use tpl_design::{DesignBuilder, Technology};
-    use tpl_geom::{Axis, Rect};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use tpl_design::{DesignBuilder, LayerId, Technology};
+    use tpl_geom::{Axis, Dir, Rect};
+    use tpl_grid::key;
 
     /// The plain Dijkstra and predecessor walk `route_two_pin` replaced:
     /// frontier order `(key(dist), node)`, dominance pruning, stop at the
@@ -1066,14 +958,14 @@ mod reference_dijkstra {
         from: PinId,
         to: PinId,
     ) -> Option<Vec<(VertexId, Mask)>> {
-        let prices = Prices {
-            design,
+        let price = StepPrice {
             grid,
+            state: &run.gstate,
             coverage,
-            gstate: &run.gstate,
-            in_guide,
-            config: &router.config,
+            design,
+            cost: &router.config.cost,
             net,
+            in_guide,
         };
         let expanded = &run.expanded;
         let mut dist = vec![f64::INFINITY; expanded.num_nodes()];
@@ -1122,12 +1014,12 @@ mod reference_dijkstra {
                     Some(_) => ExpandedGraph::dir_class(dir),
                     None => dir_class,
                 };
-                let Some(trad) = prices.trad(layer, dir, n) else {
+                let Some(trad) = price.trad(layer, dir, n) else {
                     continue;
                 };
                 let pressure = run.map.vertex_pressure(n);
                 for next_mask in Mask::ALL {
-                    let step = prices.step(
+                    let step = router.config.step(
                         trad,
                         pressure[next_mask.index()],
                         dir.is_planar() && next_mask != mask,
@@ -1467,8 +1359,10 @@ mod reference_dijkstra {
 
         let path = inst.search(source, target).expect("a path exists");
         let b = &inst.run.buffers;
-        let popped: Vec<VertexId> = b
-            .popped_targets
+        let popped: Vec<VertexId> = inst
+            .run
+            .exact
+            .popped_targets()
             .iter()
             .map(|&n| inst.run.expanded.unpack(n).0)
             .collect();

@@ -5,9 +5,8 @@
 //! negotiation (rip-up and reroute with history cost).  It is deliberately
 //! colour-blind: it is the router whose output the OpenMPL-like layout
 //! decomposition baseline (`tpl-decompose`) colours after the fact, giving
-//! the Table III comparison.  It also provides the shared maze-search
-//! machinery quality baseline against which the colour-aware routers are
-//! measured.
+//! the Table III comparison.  Its maze is a node space of the shared exact
+//! search kernel in `tpl-grid`.
 //!
 //! # Examples
 //!
@@ -27,5 +26,5 @@
 mod maze;
 mod router;
 
-pub use maze::{MazeContext, SearchBuffers};
+pub use maze::SearchBuffers;
 pub use router::{DrCuConfig, DrCuResult, DrCuRouter, DrCuStats};

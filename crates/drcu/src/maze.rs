@@ -1,47 +1,16 @@
 //! Goal-directed multi-source maze search of the colour-blind router.
 //!
-//! The search is A* on the shared `tpl-grid` kernel pieces (epoch-stamped
-//! distances, the [`GoalBound`] Manhattan bound, one reused binary heap), and
-//! it returns exactly the target and path that a plain Dijkstra ordered by
-//! `(key(dist), id)` would return, where `key` quantises a cost to 1/256.
-//! Three rules make that so:
-//!
-//! 1. **Bound.** The frontier is ordered by `key(d + h)` with the
-//!    admissible, consistent bound `h` to the nearest unreached pin's
-//!    coverage box.
-//! 2. **Drain.** With `g` the least key of any target popped so far, the
-//!    search keeps popping through `g + 1` (one quantum of float slack).
-//!    Targets are never expanded.  Among the popped targets it returns the
-//!    one with the least `(key(final dist), id)`.
-//! 3. **Canonical backtrace.** From the target, each step goes to the
-//!    neighbour `u` with `dist(u) + step_cost(u → cur) == dist(cur)` (the
-//!    same f64 operations as the forward pass) and the least
-//!    `(key(dist(u)), id(u))`, until distance 0.
-//!
-//! Precondition: every step costs at least one key quantum.  Then Dijkstra
-//! expands each vertex once, at its final distance, in `(key(dist), id)`
-//! order, so its first target is the least `(key, id)` target and a
-//! vertex's predecessor is the optimal neighbour it expanded first — the
-//! least `(key, id)` one.  Every optimal predecessor of a path vertex pops
-//! before the target, and under a consistent bound every vertex on an
-//! optimal path to the target has `d + h` no greater than the target's
-//! distance, so the drain settles all of them.
+//! The maze is the grid-vertex [`NodeSpace`] of the shared exact kernel: it
+//! prices moves with [`StepPrice::trad`], bounds them with the
+//! [`GoalBound`] to the unreached pins' coverage boxes at `alpha = 1`, and
+//! [`ExactSearch`] returns exactly the target and path that a plain Dijkstra
+//! ordered by `(key(dist), id)` would return (see `tpl_grid`'s kernel docs).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use tpl_design::{Design, LayerId, NetId, PinId};
+use tpl_design::PinId;
 use tpl_grid::{
-    CostParams, DenseBitSet, EpochStamps, GoalBound, GridGraph, GridState, PinCoverage, VertexId,
+    EpochStamps, ExactSearch, GoalBound, NodeQueue, NodeSpace, RouteBudget, SearchPops, StepPrice,
+    VertexId,
 };
-
-/// Search keys per cost unit.
-const KEY_RESOLUTION: f64 = 256.0;
-
-/// Quantises a cost to its search key.
-#[inline]
-fn key(cost: f64) -> u64 {
-    (cost * KEY_RESOLUTION) as u64
-}
 
 /// Reusable search state with epoch-based invalidation, so routing one net
 /// does not reallocate or clear O(V) memory for every pin connection.
@@ -52,10 +21,8 @@ pub struct SearchBuffers {
     dist: Vec<f64>,
     /// Membership in the current net's routed tree.
     tree: EpochStamps,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Targets the current search popped, in pop order.
-    popped_targets: Vec<VertexId>,
-    nodes_popped: usize,
+    exact: ExactSearch,
+    pops: SearchPops,
 }
 
 impl SearchBuffers {
@@ -65,9 +32,8 @@ impl SearchBuffers {
             search: EpochStamps::new(num_vertices),
             dist: vec![f64::INFINITY; num_vertices],
             tree: EpochStamps::new(num_vertices),
-            heap: BinaryHeap::new(),
-            popped_targets: Vec::new(),
-            nodes_popped: 0,
+            exact: ExactSearch::new(),
+            pops: SearchPops::default(),
         }
     }
 
@@ -101,169 +67,127 @@ impl SearchBuffers {
         }
     }
 
-    /// Frontier pops of every search so far (search effort).
+    /// Frontier pops of every search so far, stale ones included (search
+    /// effort).
     pub fn search_nodes(&self) -> usize {
-        self.nodes_popped
-    }
-}
-
-/// Everything a maze search needs to evaluate expansion costs for one net.
-pub struct MazeContext<'a> {
-    /// The routing grid.
-    pub grid: &'a GridGraph,
-    /// Blockage / occupancy / history state.
-    pub state: &'a GridState,
-    /// Pin-to-vertex coverage.
-    pub coverage: &'a PinCoverage,
-    /// The design being routed.
-    pub design: &'a Design,
-    /// Cost parameters.
-    pub cost: &'a CostParams,
-    /// The net being routed.
-    pub net: NetId,
-    /// Whether each vertex lies inside the net's route guide.
-    pub in_guide: &'a DenseBitSet,
-}
-
-impl<'a> MazeContext<'a> {
-    /// The traditional (colour-free) cost of stepping in direction `dir`
-    /// from a vertex on `from_layer` onto `to`, or `None` if the step is
-    /// forbidden (blocked vertex).
-    #[inline]
-    pub fn step_cost(&self, from_layer: LayerId, to: VertexId, dir: tpl_geom::Dir) -> Option<f64> {
-        if self.state.is_blocked(to) {
-            return None;
-        }
-        let axis = self.grid.layer_axis(from_layer);
-        let mut cost = self
-            .cost
-            .move_cost(dir, from_layer, axis, self.grid.pitch());
-        if !self.in_guide.get(to.index()) {
-            cost += self.cost.out_of_guide * self.grid.pitch() as f64;
-        }
-        if self.state.is_occupied_by_other(to, self.net) {
-            cost += self.cost.occupied;
-        }
-        if let Some(pin) = self.coverage.pin_at(to) {
-            if self.design.pin(pin).net() != self.net {
-                cost += self.cost.occupied;
-            }
-        }
-        cost += self.cost.history_weight * self.state.history(to);
-        Some(cost)
+        self.pops.settled + self.pops.stale
     }
 
-    /// Runs the goal-directed multi-source search from `sources` to the
-    /// vertices covered by the net's pins listed in `unreached`, returning
-    /// the target vertex and its pin: the target Dijkstra would pop first
-    /// (see the module docs).  Returns `None` when no unreached pin can be
-    /// reached at all.
+    /// Searches from `sources` to the vertices covered by the net's pins
+    /// listed in `unreached` and returns the canonical path, source first,
+    /// to the target Dijkstra would pop first, with that target's pin.
+    /// Returns `None` when no unreached pin can be reached at all.
     pub fn search(
-        &self,
-        buffers: &mut SearchBuffers,
+        &mut self,
+        price: &StepPrice<'_>,
         sources: &[VertexId],
         unreached: &[PinId],
-    ) -> Option<(VertexId, PinId)> {
-        let bound = GoalBound::build(self.grid, self.coverage, self.cost, 1.0, unreached)?;
-        let is_target = |v: VertexId| {
-            self.coverage.pin_at(v).is_some_and(|pin| {
-                self.design.pin(pin).net() == self.net && unreached.contains(&pin)
-            })
+    ) -> Option<(Vec<VertexId>, PinId)> {
+        let bound = GoalBound::build(price.grid, price.coverage, price.cost, 1.0, unreached)?;
+        self.search.begin();
+        let mut maze = Maze {
+            price,
+            bound: &bound,
+            unreached,
+            search: &mut self.search,
+            dist: &mut self.dist,
         };
-        let b = buffers;
-        b.search.begin();
-        b.heap.clear();
-        b.popped_targets.clear();
-
+        let queue = self.exact.begin();
         for &s in sources {
-            if self.state.is_blocked(s) {
+            if price.state.is_blocked(s) {
                 continue;
             }
-            let i = s.index();
-            b.search.touch(i);
-            b.dist[i] = 0.0;
-            b.heap.push(Reverse((key(bound.h(self.grid, s)), s.0)));
+            maze.relax(s.index(), 0.0);
+            queue.push(bound.h(price.grid, s), s.index());
         }
+        let dst = self
+            .exact
+            .run(&mut maze, &mut self.pops, &RouteBudget::default())
+            .expect("an unlimited budget never stops")?;
+        let path = ExactSearch::backtrace(&maze, dst)
+            .into_iter()
+            .map(|n| VertexId::new(n as u32))
+            .collect();
+        Some((path, price.coverage.pin_at(VertexId::new(dst as u32))?))
+    }
+}
 
-        let mut goal_key: Option<u64> = None;
-        while let Some(Reverse((k, raw))) = b.heap.pop() {
-            if goal_key.is_some_and(|g| k > g.saturating_add(1)) {
-                break; // drained one quantum past the best popped target
-            }
-            b.nodes_popped += 1;
-            let v = VertexId::new(raw);
-            let d = b.dist[v.index()];
-            if key(d + bound.h(self.grid, v)) < k {
-                continue; // stale entry: the vertex improved since
-            }
-            if is_target(v) {
-                goal_key = Some(goal_key.map_or(k, |g| g.min(k)));
-                b.popped_targets.push(v);
-                continue;
-            }
-            let layer = self.grid.layer_of(v);
-            for (dir, n) in self.grid.neighbors(v) {
-                let Some(step) = self.step_cost(layer, n, dir) else {
-                    continue;
-                };
-                let nd = d + step;
-                if nd < b.dist(n) {
-                    b.search.touch(n.index());
-                    b.dist[n.index()] = nd;
-                    b.heap.push(Reverse((key(nd + bound.h(self.grid, n)), n.0)));
-                }
-            }
-        }
-        let dst = b
-            .popped_targets
-            .iter()
-            .copied()
-            .min_by_key(|t| (key(b.dist[t.index()]), t.0))?;
-        Some((dst, self.coverage.pin_at(dst)?))
+/// The grid-vertex node space of one maze search.
+struct Maze<'s, 'a> {
+    price: &'s StepPrice<'a>,
+    bound: &'s GoalBound,
+    unreached: &'s [PinId],
+    search: &'s mut EpochStamps,
+    dist: &'s mut [f64],
+}
+
+impl Maze<'_, '_> {
+    #[inline]
+    fn relax(&mut self, n: usize, d: f64) {
+        self.search.touch(n);
+        self.dist[n] = d;
+    }
+}
+
+impl NodeSpace for Maze<'_, '_> {
+    #[inline]
+    fn bound(&self, node: usize) -> f64 {
+        self.bound.h(self.price.grid, VertexId::new(node as u32))
     }
 
-    /// The canonical path from a source to `dst`, source-first: each step
-    /// back takes the neighbour whose distance plus the connecting step
-    /// reproduces the current distance bit for bit, least
-    /// `(key(dist), id)` first, until a source (distance 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` was not returned by the latest [`search`](Self::search)
-    /// with these buffers.
-    pub fn backtrace(&self, buffers: &SearchBuffers, dst: VertexId) -> Vec<VertexId> {
-        let mut path = vec![dst];
-        let mut cur = dst;
-        loop {
-            let d = buffers.dist(cur);
-            if d == 0.0 {
-                break;
-            }
-            let mut best: Option<(u64, u32)> = None;
-            for (dir, u) in self.grid.neighbors(cur) {
-                let du = buffers.dist(u);
-                let Some(step) = self.step_cost(self.grid.layer_of(u), cur, dir.opposite()) else {
-                    continue;
-                };
-                let cand = (key(du), u.0);
-                if du + step == d && best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-            }
-            let (_, raw) = best.expect("a settled vertex has an optimal predecessor");
-            cur = VertexId::new(raw);
-            path.push(cur);
+    #[inline]
+    fn dist(&self, node: usize) -> f64 {
+        if self.search.is_fresh(node) {
+            self.dist[node]
+        } else {
+            f64::INFINITY
         }
-        path.reverse();
-        path
+    }
+
+    #[inline]
+    fn is_target(&self, node: usize) -> bool {
+        let p = self.price;
+        p.coverage
+            .pin_at(VertexId::new(node as u32))
+            .is_some_and(|pin| p.design.pin(pin).net() == p.net && self.unreached.contains(&pin))
+    }
+
+    #[inline]
+    fn expand(&mut self, node: usize, d: f64, queue: &mut NodeQueue) {
+        let grid = self.price.grid;
+        let v = VertexId::new(node as u32);
+        let layer = grid.layer_of(v);
+        for (dir, n) in grid.neighbors(v) {
+            let Some(step) = self.price.trad(layer, dir, n) else {
+                continue;
+            };
+            let nd = d + step;
+            if nd < self.dist(n.index()) {
+                self.relax(n.index(), nd);
+                queue.push(nd + self.bound.h(grid, n), n.index());
+            }
+        }
+    }
+
+    fn predecessors(&self, node: usize, mut visit: impl FnMut(usize, f64)) {
+        let grid = self.price.grid;
+        let cur = VertexId::new(node as u32);
+        for (dir, u) in grid.neighbors(cur) {
+            if let Some(step) = self.price.trad(grid.layer_of(u), dir.opposite(), cur) {
+                visit(u.index(), step);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpl_design::{DesignBuilder, RouteGuides, Technology};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use tpl_design::{Design, DesignBuilder, NetId, RouteGuides, Technology};
     use tpl_geom::Rect;
+    use tpl_grid::{key, CostParams, DenseBitSet, GridGraph, GridState, PinCoverage};
 
     fn setup() -> (Design, GridGraph, GridState, PinCoverage) {
         let mut b = DesignBuilder::new(
@@ -289,7 +213,7 @@ mod tests {
         let guides = RouteGuides::new(1);
         let in_guide = g.guide_membership(&guides, NetId::new(0));
         let cost = CostParams::default();
-        let ctx = MazeContext {
+        let ctx = StepPrice {
             grid: &g,
             state: &s,
             coverage: &c,
@@ -301,15 +225,14 @@ mod tests {
         let mut buffers = SearchBuffers::new(g.num_vertices());
         let sources = c.vertices(PinId::new(0)).to_vec();
         let unreached = vec![PinId::new(1)];
-        let (dst, pin) = ctx
-            .search(&mut buffers, &sources, &unreached)
+        let (path, pin) = buffers
+            .search(&ctx, &sources, &unreached)
             .expect("path exists");
         assert_eq!(pin, PinId::new(1));
-        let path = ctx.backtrace(&buffers, dst);
         assert!(path.len() >= 2);
-        // The path starts at a source vertex and ends at the destination.
+        // The path starts at a source vertex and ends on the pin.
         assert!(sources.contains(&path[0]));
-        assert_eq!(*path.last().unwrap(), dst);
+        assert_eq!(c.pin_at(*path.last().unwrap()), Some(pin));
         // No vertex on the path is blocked.
         assert!(path.iter().all(|v| !s.is_blocked(*v)));
         // Consecutive path vertices are grid neighbours.
@@ -327,7 +250,7 @@ mod tests {
         let guides = RouteGuides::new(1);
         let in_guide = g.guide_membership(&guides, NetId::new(0));
         let cost = CostParams::default();
-        let ctx = MazeContext {
+        let ctx = StepPrice {
             grid: &g,
             state: &s,
             coverage: &c,
@@ -338,7 +261,7 @@ mod tests {
         };
         let mut buffers = SearchBuffers::new(g.num_vertices());
         let sources = c.vertices(PinId::new(0)).to_vec();
-        assert!(ctx.search(&mut buffers, &sources, &[]).is_none());
+        assert!(buffers.search(&ctx, &sources, &[]).is_none());
     }
 
     #[test]
@@ -358,7 +281,7 @@ mod tests {
         let guides = RouteGuides::new(1);
         let in_guide = g.guide_membership(&guides, NetId::new(0));
         let cost = CostParams::default();
-        let ctx = MazeContext {
+        let ctx = StepPrice {
             grid: &g,
             state: &s,
             coverage: &c,
@@ -369,10 +292,7 @@ mod tests {
         };
         let mut buffers = SearchBuffers::new(g.num_vertices());
         let sources = c.vertices(PinId::new(0)).to_vec();
-        let (dst, _) = ctx
-            .search(&mut buffers, &sources, &[PinId::new(1)])
-            .unwrap();
-        let path = ctx.backtrace(&buffers, dst);
+        let (path, _) = buffers.search(&ctx, &sources, &[PinId::new(1)]).unwrap();
         // The path never steps on an occupied vertex because the detour
         // through the gap is cheaper than the occupancy penalty.
         assert!(path
@@ -383,7 +303,7 @@ mod tests {
     /// The plain Dijkstra and `prev` walk this maze replaced: the reference
     /// the goal-directed search must reproduce target, pin and path of.
     fn reference_route(
-        ctx: &MazeContext<'_>,
+        ctx: &StepPrice<'_>,
         sources: &[VertexId],
         unreached: &[PinId],
     ) -> Option<(VertexId, PinId, Vec<VertexId>)> {
@@ -424,7 +344,7 @@ mod tests {
             }
             let layer = ctx.grid.layer_of(v);
             for (dir, n) in ctx.grid.neighbors(v) {
-                if let Some(step) = ctx.step_cost(layer, n, dir) {
+                if let Some(step) = ctx.trad(layer, dir, n) {
                     let nd = d + step;
                     if nd < dist[n.index()] {
                         dist[n.index()] = nd;
@@ -542,7 +462,7 @@ mod tests {
     /// search returns the reference's `(target, pin, path)`.  Returns the
     /// buffers of the last search and the number of searches compared.
     fn assert_matches_reference(inst: &Instance, label: &str) -> (SearchBuffers, usize) {
-        let ctx = MazeContext {
+        let ctx = StepPrice {
             grid: &inst.grid,
             state: &inst.state,
             coverage: &inst.coverage,
@@ -564,9 +484,9 @@ mod tests {
         let mut searches = 0;
         while !unreached.is_empty() {
             let want = reference_route(&ctx, &tree, &unreached);
-            let got = ctx
-                .search(&mut buffers, &tree, &unreached)
-                .map(|(dst, pin)| (dst, pin, ctx.backtrace(&buffers, dst)));
+            let got = buffers
+                .search(&ctx, &tree, &unreached)
+                .map(|(path, pin)| (*path.last().unwrap(), pin, path));
             searches += 1;
             assert_eq!(got, want, "{label}, search {searches}");
             let Some((_, pin, path)) = want else {
@@ -690,7 +610,7 @@ mod tests {
         let coverage = PinCoverage::build(&grid, &design);
         let in_guide = DenseBitSet::full(grid.num_vertices());
         let cost = CostParams::default();
-        let ctx = MazeContext {
+        let ctx = StepPrice {
             grid: &grid,
             state: &state,
             coverage: &coverage,
@@ -706,12 +626,14 @@ mod tests {
         let sources = coverage.vertices(source).to_vec();
         let unreached = [low, high];
         let mut buffers = SearchBuffers::new(grid.num_vertices());
-        let got = ctx.search(&mut buffers, &sources, &unreached);
-        assert_eq!(buffers.popped_targets.first(), Some(&t_high));
+        let (path, pin) = buffers.search(&ctx, &sources, &unreached).unwrap();
+        assert_eq!(
+            buffers.exact.popped_targets().first(),
+            Some(&t_high.index())
+        );
         assert_eq!(buffers.dist(t_low), 240.0);
         assert_eq!(buffers.dist(t_high), 240.0);
-        assert_eq!(got, Some((t_low, low)));
-        let path = ctx.backtrace(&buffers, t_low);
+        assert_eq!((path.last(), pin), (Some(&t_low), low));
         assert_eq!(path[path.len() - 2], grid.vertex(2, 5, 7));
         let want = reference_route(&ctx, &sources, &unreached);
         assert_eq!(Some((t_low, low, path)), want);

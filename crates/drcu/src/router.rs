@@ -1,8 +1,10 @@
 //! The full-design colour-blind detailed router (rip-up & reroute loop).
 
-use crate::{MazeContext, SearchBuffers};
+use crate::SearchBuffers;
 use tpl_design::{Design, NetId, PinId, RouteGuides, RoutedNet, RoutingSolution};
-use tpl_grid::{path_to_routed_net, CostParams, GridGraph, GridState, PinCoverage, VertexId};
+use tpl_grid::{
+    path_to_routed_net, CostParams, GridGraph, GridState, PinCoverage, StepPrice, VertexId,
+};
 
 /// Configuration of the Dr.CU-like router.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -163,7 +165,7 @@ impl DrCuRouter {
         let nodes_before = buffers.search_nodes();
         let net = design.net(net_id);
         let in_guide = grid.guide_membership(guides, net_id);
-        let ctx = MazeContext {
+        let price = StepPrice {
             grid,
             state,
             coverage,
@@ -187,9 +189,8 @@ impl DrCuRouter {
         let mut complete = true;
 
         while !unreached.is_empty() {
-            match ctx.search(buffers, &tree, &unreached) {
-                Some((dst, pin)) => {
-                    let path = ctx.backtrace(buffers, dst);
+            match buffers.search(&price, &tree, &unreached) {
+                Some((path, pin)) => {
                     path_to_routed_net(grid, &path, &mut routed);
                     // The reached pin's own access vertices join the tree so
                     // later connections can start from them.

@@ -3,7 +3,6 @@
 use crate::GCellGrid;
 use std::cmp::Reverse;
 use tpl_design::{Design, LayerId, NetId, RouteGuides};
-use tpl_geom::Point;
 use tpl_grid::{BucketQueue, EpochStamps, Outcome, RouteBudget, StopReason};
 use tpl_par::{par_map_pooled, plan_batches, Parallelism, Region, ScratchPool};
 
@@ -138,7 +137,6 @@ struct EdgeMap {
 
 impl EdgeMap {
     fn new(nx: usize, ny: usize, capacity: u32) -> Self {
-        let _ = ny;
         Self {
             nx,
             h_demand: vec![0; (nx.saturating_sub(1)) * ny],
@@ -805,16 +803,6 @@ fn maze_route(
     }
     path.reverse();
     (Some(path), popped, None)
-}
-
-/// Convenience: the centre of a pin's bounding box (used by tests).
-#[allow(dead_code)]
-fn pin_center(design: &Design, pin: tpl_design::PinId) -> Point {
-    design
-        .pin(pin)
-        .bbox()
-        .map(|b| b.center())
-        .unwrap_or(Point::ORIGIN)
 }
 
 #[cfg(test)]

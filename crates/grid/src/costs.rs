@@ -1,6 +1,7 @@
-//! Shared cost-model parameters.
+//! The shared cost model: its parameters and the colour-free step price.
 
-use tpl_design::LayerId;
+use crate::{DenseBitSet, GridGraph, GridState, PinCoverage, VertexId};
+use tpl_design::{Design, LayerId, NetId};
 use tpl_geom::{Axis, Dbu, Dir};
 
 /// Parameters of the traditional (non-colour) part of the routing cost.
@@ -76,6 +77,56 @@ impl CostParams {
             c *= self.base_layer_mult;
         }
         c
+    }
+}
+
+/// Everything that prices one net's colour-free grid moves: `Cost_trad` of
+/// Eq. (1), the one step price of every detailed router.
+#[derive(Clone, Copy)]
+pub struct StepPrice<'a> {
+    /// The routing grid.
+    pub grid: &'a GridGraph,
+    /// Blockage / occupancy / history state.
+    pub state: &'a GridState,
+    /// Pin-to-vertex coverage.
+    pub coverage: &'a PinCoverage,
+    /// The design being routed.
+    pub design: &'a Design,
+    /// Cost parameters.
+    pub cost: &'a CostParams,
+    /// The net being routed.
+    pub net: NetId,
+    /// Whether each vertex lies inside the net's route guide.
+    pub in_guide: &'a DenseBitSet,
+}
+
+impl StepPrice<'_> {
+    /// The colour-free price of a move in `dir` from a vertex on
+    /// `from_layer` onto `to`, or `None` when `to` is blocked: the move cost,
+    /// then out-of-guide wire, occupancy by another net, another net's pin
+    /// and history, added in that order.  The caller decodes the layer of
+    /// the vertex it expands once for all of its neighbours.
+    #[inline]
+    pub fn trad(&self, from_layer: LayerId, dir: Dir, to: VertexId) -> Option<f64> {
+        if self.state.is_blocked(to) {
+            return None;
+        }
+        let cost = self.cost;
+        let pitch = self.grid.pitch();
+        let mut c = cost.move_cost(dir, from_layer, self.grid.layer_axis(from_layer), pitch);
+        if !self.in_guide.get(to.index()) {
+            c += cost.out_of_guide * pitch as f64;
+        }
+        if self.state.is_occupied_by_other(to, self.net) {
+            c += cost.occupied;
+        }
+        if let Some(pin) = self.coverage.pin_at(to) {
+            if self.design.pin(pin).net() != self.net {
+                c += cost.occupied;
+            }
+        }
+        c += cost.history_weight * self.state.history(to);
+        Some(c)
     }
 }
 

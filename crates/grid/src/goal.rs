@@ -2,9 +2,11 @@
 //!
 //! Three searches order their frontier by `d + h` with this bound: the
 //! Mr.TPL colour-state search (`mrtpl-core`, at its `alpha`, on negotiation
-//! reroutes), the Dr.CU-like maze (`tpl-drcu`) and the DAC'12 baseline's
-//! 2-pin search (`tpl-dac12`), both at `alpha = 1` and both exact: they
-//! return the target and path of a plain Dijkstra.
+//! reroutes, in its own loop), and the two node spaces of the shared
+//! [`ExactSearch`](crate::ExactSearch), the Dr.CU-like maze (`tpl-drcu`)
+//! and the DAC'12 baseline's 2-pin search (`tpl-dac12`), both at
+//! `alpha = 1`.  Those two return the target and path of a plain Dijkstra
+//! (see the kernel docs).
 
 use crate::{CostParams, GridGraph, PinCoverage, VertexId};
 use tpl_design::PinId;

@@ -10,7 +10,10 @@
 //!
 //! All routers in the workspace (the TPL-unaware Dr.CU-like baseline, the
 //! DAC'12 vertex-splitting baseline and Mr.TPL itself) share this substrate,
-//! which keeps the Table II runtime comparison apples-to-apples.
+//! which keeps the Table II runtime comparison apples-to-apples: one
+//! colour-free step price ([`StepPrice`]), one frontier key ([`key`]), one
+//! goal bound ([`GoalBound`]) and one exact A\* loop ([`ExactSearch`]); see
+//! the `kernel` module docs for which router runs which loop.
 //!
 //! # Examples
 //!
@@ -40,11 +43,11 @@ mod state;
 pub use bitset::DenseBitSet;
 pub use bucket::BucketQueue;
 pub use budget::{CancelToken, Outcome, RouteBudget, StopReason};
-pub use costs::CostParams;
+pub use costs::{CostParams, StepPrice};
 pub use epoch::EpochStamps;
 pub use goal::GoalBound;
 pub use graph::{GridGraph, VertexId};
-pub use kernel::frontier;
+pub use kernel::{frontier, key, ExactSearch, NodeQueue, NodeSpace, SearchPops};
 pub use path::path_to_routed_net;
 pub use pins::PinCoverage;
 pub use state::GridState;

@@ -21,8 +21,12 @@
 //! mutex-serialised helper and the plan is always cleared afterwards.
 
 use std::sync::Mutex;
+use tpl_global::{GlobalConfig, GlobalRouter};
 use tpl_harness::json::JsonValue;
-use tpl_harness::{run_matrix, InputProvenance, JobRecord, MethodRegistry, RunOptions, RunReport};
+use tpl_harness::{
+    flows, run_matrix, InputProvenance, JobRecord, MethodRegistry, Outcome, RouteBudget,
+    RunOptions, RunReport, StopReason,
+};
 use tpl_ispd::{run_suite, Case, Suite};
 
 /// Serialises every test that touches the process-global fault plan.
@@ -195,5 +199,45 @@ fn an_unrepresentable_deadline_runs_to_completion() {
             record.outcome
         );
         assert_eq!(records[0].attempts, 1);
+    }
+}
+
+#[test]
+fn a_method_budget_binds_when_preparation_completes() {
+    let _serial = FAULT_PLAN.lock().unwrap_or_else(|p| p.into_inner());
+    let _clear = ClearPlan;
+    tpl_fault::clear();
+    // On this case the global router routes every net by pattern, so its
+    // maze never pops a node and preparation finishes under a one-node
+    // budget; only the detailed routers can trip it.
+    let cases = run_suite(Suite::Ispd18, &[1], 0.2);
+    let design = cases[0].instantiate();
+    let (_, global) = GlobalRouter::new(GlobalConfig::default()).route_with_stats(&design);
+    assert_eq!(global.search_nodes, 0, "the global maze must not run here");
+    let budget = RouteBudget::with_max_search_nodes(1);
+    assert_eq!(flows::prepare(&cases[0], 1, &budget).2, Outcome::Complete);
+
+    let registry = MethodRegistry::builtin();
+    let methods = registry.select("dac12,mrtpl").unwrap();
+    let records = run_matrix(
+        &methods,
+        &cases,
+        &RunOptions {
+            deterministic: true,
+            max_search_nodes: Some(1),
+            ..RunOptions::default()
+        },
+    );
+    for record in &records {
+        let case = record
+            .record()
+            .expect("a budget trip degrades, never fails");
+        assert_eq!(
+            case.outcome,
+            Outcome::Degraded(StopReason::SearchNodes),
+            "{} must be stopped by its own router's budget",
+            record.method
+        );
+        assert_eq!(record.attempts, 1);
     }
 }

@@ -126,13 +126,11 @@ pub fn score_solution(
     }
 
     // Obstacles participate in spacing checks too.
-    let obstacle_base = entry_net.len() as u64;
     for obs in design.obstacles() {
         let idx = entry_net.len() as u64;
         entry_net.push(NetId::new(OBSTACLE_NET));
         indexes[obs.layer.index()].insert(idx, obs.rect);
     }
-    let _ = obstacle_base;
 
     // Spacing violations: different-net pairs closer than the layer spacing.
     let mut violating_pairs: HashSet<(u64, u64)> = HashSet::new();

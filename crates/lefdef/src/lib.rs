@@ -56,9 +56,10 @@
 //! )
 //! .unwrap();
 //! assert_eq!(
-//!     tpl_design::write_design(&again.design),
-//!     tpl_design::write_design(&lowered.design)
+//!     write_def(&again.design, None),
+//!     write_def(&lowered.design, None)
 //! );
+//! assert_eq!(write_lef(again.design.tech()), write_lef(lowered.design.tech()));
 //! ```
 
 #![warn(missing_docs)]

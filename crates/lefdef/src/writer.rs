@@ -180,10 +180,8 @@ mod tests {
         let lef = parse_lef(&lef_src).unwrap();
         let def = parse_def(&def_src).unwrap();
         let lowered = lower(&lef, &def).unwrap();
-        assert_eq!(
-            tpl_design::write_design(&lowered.design),
-            tpl_design::write_design(&design)
-        );
+        assert_eq!(write_def(&lowered.design, None), def_src);
+        assert_eq!(write_lef(lowered.design.tech()), lef_src);
         assert!(lowered.routing.is_none());
     }
 

@@ -10,7 +10,7 @@ use mr_tpl::color::{ColorMap, ColorState, Feature, Mask};
 use mr_tpl::core::{backtrace, search, MrTplConfig, NetBuffers, SearchContext};
 use mr_tpl::design::{DesignBuilder, LayerId, NetId, RouteGuides, Technology};
 use mr_tpl::geom::Rect;
-use mr_tpl::grid::{DenseBitSet, GridGraph, GridState, PinCoverage};
+use mr_tpl::grid::{DenseBitSet, GridGraph, GridState, PinCoverage, StepPrice};
 use tpl_color::ColorSetArena;
 
 fn main() {
@@ -54,13 +54,16 @@ fn main() {
     let guides = RouteGuides::new(design.nets().len());
     let in_guide = DenseBitSet::full(grid.num_vertices());
     let ctx = SearchContext {
-        grid: &grid,
-        state: &gstate,
-        coverage: &coverage,
-        design: &design,
+        price: StepPrice {
+            grid: &grid,
+            state: &gstate,
+            coverage: &coverage,
+            design: &design,
+            cost: &config.cost,
+            net,
+            in_guide: &in_guide,
+        },
         config: &config,
-        net,
-        in_guide: &in_guide,
         map: &map,
     };
     let _ = &guides;

@@ -94,13 +94,21 @@ fn the_whole_flow_is_deterministic_end_to_end() {
 }
 
 #[test]
-fn design_text_format_round_trips_through_the_generator() {
+fn generated_designs_round_trip_through_lef_and_def() {
+    use mr_tpl::lefdef::{lower, parse_def, parse_lef, write_def, write_lef};
     let design = CaseParams::ispd18_like(1).scaled(0.4).generate();
-    let text = mr_tpl::design::write_design(&design);
-    let parsed = mr_tpl::design::read_design(&text).expect("parses");
+    let lef = write_lef(design.tech());
+    let def = write_def(&design, None);
+    let parsed = lower(
+        &parse_lef(&lef).expect("parses"),
+        &parse_def(&def).expect("parses"),
+    )
+    .expect("lowers")
+    .design;
     assert_eq!(parsed.nets().len(), design.nets().len());
     assert_eq!(parsed.pins().len(), design.pins().len());
     assert_eq!(parsed.tech().dcolor(), design.tech().dcolor());
+    assert_eq!(write_def(&parsed, None), def);
 }
 
 #[test]
